@@ -23,6 +23,7 @@
 #endif
 
 #include "bgp/wire.hpp"
+#include "common.hpp"
 #include "core/engine.hpp"
 #include "core/engine_snapshot.hpp"
 #include "core/passive.hpp"
@@ -1000,17 +1001,46 @@ void BM_PipelineRun(benchmark::State& state) {
 BENCHMARK(BM_PipelineRun)->Unit(benchmark::kMillisecond);
 
 void BM_RoutingTree(benchmark::State& state) {
+  // The dense kernel alone: one tree over a graph frozen once.
   topology::TopologyParams params;
   params.n_ases = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
   const auto topo = topology::generate_topology(params, rng);
+  const auto index =
+      std::make_shared<const propagation::GraphIndex>(topo.graph);
   const auto origin = topo.stubs.back();
   for (auto _ : state) {
-    const auto tree = propagation::compute_routes(topo.graph, origin);
-    benchmark::DoNotOptimize(tree.entries().size());
+    const propagation::RoutingTree tree(index, origin);
+    benchmark::DoNotOptimize(tree.entries().data());
   }
 }
 BENCHMARK(BM_RoutingTree)->Arg(500)->Arg(2000);
+
+void BM_RoutingSweep(benchmark::State& state) {
+  // One origin-outer sweep over the report scenario's augmented graph and
+  // announcement list (2000 distinct origins), with range(0) pool threads
+  // and a visitor that only touches each tree.
+  static const scenario::Scenario s(bench::default_params());
+  propagation::RoutingModel model(s.topo().graph,
+                                  static_cast<std::size_t>(state.range(0)));
+  auto touch = [](const propagation::PrefixOrigin&,
+                  const propagation::RoutingTree& tree) {
+    benchmark::DoNotOptimize(tree.entries().data());
+  };
+  std::size_t trees = 0;
+  for (auto _ : state) {
+    const std::size_t before = model.computed();
+    model.sweep(s.origins(), touch);
+    trees += model.computed() - before;
+  }
+  state.counters["trees_per_s"] = benchmark::Counter(
+      static_cast<double>(trees), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RoutingSweep)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -108,7 +108,7 @@ LiveSession::LiveSession(LiveConfig config,
       clock_(config_.clock ? config_.clock : stream::system_clock()),
       contexts_(share(std::move(ixps))),
       relationships_(std::move(relationships)),
-      pool_(ThreadPool::resolve(config_.threads)) {
+      pool_(util::ThreadPool::resolve(config_.threads)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
   // Concatenate's drain cursor advances past a closed-and-drained source
   // and cannot rewind, so a quarantined feed could never merge again:

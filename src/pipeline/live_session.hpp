@@ -104,13 +104,13 @@
 #include "pipeline/feed_supervisor.hpp"
 #include "pipeline/observation_queue.hpp"
 #include "pipeline/pipeline.hpp"
-#include "pipeline/thread_pool.hpp"
 #include "stream/bmp_framer.hpp"
 #include "stream/clock.hpp"
 #include "stream/decoder.hpp"
 #include "stream/framer.hpp"
 #include "stream/source.hpp"
 #include "util/annotations.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlp {
 class ByteWriter;
@@ -590,7 +590,7 @@ class LiveSession {
   std::vector<std::unique_ptr<Shard>> shards_;
   // Declared after shards_ so its destructor (which joins the workers)
   // runs first: no pump can outlive the shards it drains.
-  ThreadPool pool_;
+  util::ThreadPool pool_;
   std::atomic<bool> finished_{false};
 };
 

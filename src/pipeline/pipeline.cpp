@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "pipeline/observation_queue.hpp"
-#include "pipeline/thread_pool.hpp"
 #include "util/annotations.hpp"
 #include "util/errors.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlp::pipeline {
 
@@ -178,7 +178,7 @@ PipelineResult InferencePipeline::run() {
         std::move(out));
   }();
 
-  ThreadPool pool(ThreadPool::resolve(config_.threads));
+  util::ThreadPool pool(util::ThreadPool::resolve(config_.threads));
 
   // Producers first (FIFO pool => they are never starved by a waiting
   // consumer). Each owns source index `s` in every IXP queue and closes it

@@ -4,26 +4,30 @@
 
 namespace mlp::propagation {
 
+void Collector::collect(const bgp::IpPrefix& prefix, const RoutingTree& tree,
+                        const PathDecorator& decorate) {
+  for (const FeedSpec& feed : feeds_) {
+    const Via via = tree.via(feed.feeder);
+    if (via == Via::None) continue;
+    if (!feed.full_feed && via != Via::Customer && via != Via::Origin)
+      continue;  // peer-type session: only customer routes are exported
+    auto path = tree.path_from(feed.feeder);
+    if (!path) continue;
+    bgp::Route route;
+    route.prefix = prefix;
+    route.attrs.as_path = *path;
+    route.attrs.next_hop = feed.feeder_ip;
+    if (decorate) decorate(*path, route.attrs);
+    rib_.announce(feed.feeder, feed.feeder_ip, std::move(route));
+  }
+}
+
 void Collector::collect(RoutingModel& model,
                         const std::vector<PrefixOrigin>& origins,
                         const PathDecorator& decorate) {
-  for (const auto& [prefix, origin] : origins) {
-    const RoutingTree& tree = model.tree(origin);
-    for (const FeedSpec& feed : feeds_) {
-      if (!tree.reachable(feed.feeder)) continue;
-      const Via via = tree.via(feed.feeder);
-      if (!feed.full_feed && via != Via::Customer && via != Via::Origin)
-        continue;  // peer-type session: only customer routes are exported
-      auto path = tree.path_from(feed.feeder);
-      if (!path) continue;
-      bgp::Route route;
-      route.prefix = prefix;
-      route.attrs.as_path = *path;
-      route.attrs.next_hop = feed.feeder_ip;
-      if (decorate) decorate(*path, route.attrs);
-      rib_.announce(feed.feeder, feed.feeder_ip, std::move(route));
-    }
-  }
+  model.sweep(origins, [&](const PrefixOrigin& o, const RoutingTree& tree) {
+    collect(o.prefix, tree, decorate);
+  });
 }
 
 std::vector<std::uint8_t> Collector::table_dump(

@@ -19,12 +19,6 @@
 
 namespace mlp::propagation {
 
-/// A prefix and the AS that originates it.
-struct PrefixOrigin {
-  bgp::IpPrefix prefix;
-  Asn origin = 0;
-};
-
 /// One BGP feed into a collector.
 struct FeedSpec {
   Asn feeder = 0;
@@ -51,11 +45,14 @@ class Collector {
   Asn asn() const { return asn_; }
 
   void add_feed(const FeedSpec& feed) { feeds_.push_back(feed); }
-  const std::vector<FeedSpec>& feeds() const { return feeds_; }
 
-  /// Populate the collector RIB: for every (prefix, origin) pair, each
-  /// feeder contributes its best path subject to its feed type. `decorate`
-  /// may be null.
+  /// Archive the routes toward `prefix` that the feeders export: each
+  /// feeder contributes its best path in `tree` (the tree of the prefix's
+  /// origin) subject to its feed type. `decorate` may be null.
+  void collect(const bgp::IpPrefix& prefix, const RoutingTree& tree,
+               const PathDecorator& decorate);
+
+  /// The same for every (prefix, origin) pair, over one routing sweep.
   void collect(RoutingModel& model, const std::vector<PrefixOrigin>& origins,
                const PathDecorator& decorate);
 

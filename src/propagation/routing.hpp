@@ -11,11 +11,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bgp/aspath.hpp"
+#include "bgp/prefix.hpp"
 #include "topology/as_graph.hpp"
 
 namespace mlp::propagation {
@@ -32,61 +35,84 @@ enum class Via : std::uint8_t {
   Provider,  // learned from a provider
 };
 
-/// Best-route tree for one origin.
+/// A prefix and the AS that originates it.
+struct PrefixOrigin {
+  bgp::IpPrefix prefix;
+  Asn origin = 0;
+};
+
+/// An AsGraph frozen into compressed adjacency rows. Positions follow ASN
+/// order, so comparing positions compares ASNs.
+struct GraphIndex {
+  static constexpr std::uint32_t npos = UINT32_MAX;
+  explicit GraphIndex(const topology::AsGraph& graph);
+  /// Position of `asn`, or npos when the graph does not hold it.
+  std::uint32_t position(Asn asn) const;
+
+  std::vector<Asn> asns;               // sorted
+  std::vector<std::uint32_t> offsets;  // row p is edges[offsets[p], [p+1])
+  std::vector<std::pair<std::uint32_t, bgp::Rel>> edges;  // (to, rel)
+};
+
+/// Best-route tree for one origin: one entry per GraphIndex position.
 class RoutingTree {
  public:
   struct Entry {
     Via via = Via::None;
     std::uint32_t length = 0;  // AS-path length including the origin
-    Asn next = 0;              // next hop toward the origin
+    std::uint32_t next = 0;    // position of the next hop toward the origin
   };
 
-  Asn origin() const { return origin_; }
+  /// Computes the tree of `origin`. Throws InvalidArgument if the origin is
+  /// not in the graph.
+  RoutingTree(std::shared_ptr<const GraphIndex> index, Asn origin);
 
-  bool reachable(Asn asn) const;
+  Asn origin() const { return index_->asns[origin_]; }
+
+  bool reachable(Asn asn) const { return via(asn) != Via::None; }
   Via via(Asn asn) const;
 
   /// AS path in BGP order (vantage first, origin last); nullopt if the
   /// vantage has no route.
   std::optional<AsPath> path_from(Asn vantage) const;
 
-  const std::unordered_map<Asn, Entry>& entries() const { return entries_; }
-
-  // Used by compute_routes.
-  RoutingTree(Asn origin, std::unordered_map<Asn, Entry> entries)
-      : origin_(origin), entries_(std::move(entries)) {}
+  /// entries()[p] is the route of the AS at GraphIndex position p.
+  const std::vector<Entry>& entries() const { return entries_; }
 
  private:
-  Asn origin_ = 0;
-  std::unordered_map<Asn, Entry> entries_;
+  std::shared_ptr<const GraphIndex> index_;
+  std::uint32_t origin_ = 0;  // position
+  std::vector<Entry> entries_;
 };
 
 /// Compute the best-route tree for `origin`. Throws InvalidArgument if the
 /// origin is not in the graph.
 RoutingTree compute_routes(const topology::AsGraph& graph, Asn origin);
 
-/// Caches RoutingTrees per origin over a fixed graph, with FIFO eviction
-/// so sweeping every origin stays within a bounded memory footprint.
-/// The reference returned by tree() is invalidated once `capacity` newer
-/// origins have been requested -- iterate origins grouped by origin AS.
+/// Routing over one frozen graph, one origin-outer sweep at a time.
 class RoutingModel {
  public:
+  using Visit = std::function<void(const PrefixOrigin&, const RoutingTree&)>;
+
+  /// Freezes `graph`. `threads` sizes the sweep's pool (0: all cores).
   explicit RoutingModel(const topology::AsGraph& graph,
-                        std::size_t capacity = 64)
-      : graph_(&graph), capacity_(capacity == 0 ? 1 : capacity) {}
+                        std::size_t threads = 0);
 
-  /// The tree for `origin`, computed on first use.
-  const RoutingTree& tree(Asn origin);
+  /// Calls `visit(o, tree of o.origin)` for each element of `origins`, in
+  /// order, on the calling thread. Each distinct origin's tree is computed
+  /// once, on the pool, at most two windows of distinct origins ahead of
+  /// its first visit, and dropped after its last. Throws InvalidArgument,
+  /// before any visit, if an origin is not in the graph.
+  void sweep(const std::vector<PrefixOrigin>& origins, const Visit& visit);
 
-  std::size_t cached() const { return cache_.size(); }
+  /// Trees computed by all sweeps so far.
   std::size_t computed() const { return computed_; }
+  const GraphIndex& index() const { return *index_; }
 
  private:
-  const topology::AsGraph* graph_;
-  std::size_t capacity_;
+  std::shared_ptr<const GraphIndex> index_;
+  std::size_t threads_;
   std::size_t computed_ = 0;
-  std::unordered_map<Asn, std::unique_ptr<RoutingTree>> cache_;
-  std::vector<Asn> order_;  // FIFO of cached origins
 };
 
 }  // namespace mlp::propagation

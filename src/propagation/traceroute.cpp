@@ -8,8 +8,7 @@ TracerouteResult run_traceroute_campaign(
     RoutingModel& model, const std::vector<PrefixOrigin>& targets,
     const std::vector<Asn>& monitors, const IxpLanFn& ixp_lan) {
   TracerouteResult result;
-  for (const auto& [prefix, origin] : targets) {
-    const RoutingTree& tree = model.tree(origin);
+  model.sweep(targets, [&](const PrefixOrigin&, const RoutingTree& tree) {
     for (const Asn monitor : monitors) {
       auto path = tree.path_from(monitor);
       if (!path) continue;
@@ -34,7 +33,7 @@ TracerouteResult run_traceroute_campaign(
           result.links.insert(bgp::AsLink(observed[i], observed[i + 1]));
       }
     }
-  }
+  });
   return result;
 }
 

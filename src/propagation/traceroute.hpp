@@ -12,7 +12,6 @@
 #include <optional>
 #include <set>
 
-#include "propagation/collector.hpp"
 #include "propagation/routing.hpp"
 
 namespace mlp::propagation {

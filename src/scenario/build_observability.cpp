@@ -6,6 +6,8 @@
 namespace mlp::scenario {
 
 using propagation::FeedSpec;
+using propagation::PrefixOrigin;
+using propagation::RoutingTree;
 using propagation::Via;
 
 namespace {
@@ -70,26 +72,6 @@ void ScenarioBuilder::build_collectors() {
     feed.full_feed = rng.chance(1.0 / 3.0);
     s.collectors_[index % s.collectors_.size()].add_feed(feed);
   }
-
-  // Decorator: attach the RS communities the setter applied when the
-  // path crossed a route server, unless the IXP or a transit AS between
-  // the receiver and the vantage scrubs community attributes.
-  const auto decorate = [this](const bgp::AsPath& path,
-                               bgp::PathAttributes& attrs) {
-    const RsCrossing crossing = find_rs_crossing(s, path);
-    if (!crossing.found) return;
-    const IxpDeployment& ixp = s.ixps_[crossing.ixp_index];
-    if (ixp.spec.strips_communities) return;
-    const auto& asns = path.asns();
-    for (std::size_t i = 0; i <= crossing.receiver_position; ++i)
-      if (s.scrubbers_.count(asns[i])) return;
-    for (const auto community :
-         s.communities_for(crossing.setter, crossing.ixp_index))
-      attrs.add_community(community);
-  };
-
-  for (auto& collector : s.collectors_)
-    collector.collect(*s.routing_, s.origins_, decorate);
 }
 
 void ScenarioBuilder::build_rs_lgs() {
@@ -109,7 +91,7 @@ void ScenarioBuilder::build_rs_lgs() {
   }
 }
 
-void ScenarioBuilder::build_member_lgs() {
+void ScenarioBuilder::draft_member_lgs() {
   // Candidate operators: RS members (the paper's LGs front RS members or
   // their customers).
   std::vector<Asn> candidates;
@@ -120,16 +102,6 @@ void ScenarioBuilder::build_member_lgs() {
                    candidates.end());
   const auto chosen = rng.sample(candidates, s.params_.member_lgs);
 
-  // Per-operator session lists prepared up front; the origin sweep below
-  // is the expensive pass, so it computes each routing tree exactly once.
-  struct LgDraft {
-    Asn oper = 0;
-    bool prefers_bilateral = false;
-    bool show_all_paths = true;
-    std::vector<topology::Neighbor> direct_neighbors;
-    std::unique_ptr<bgp::Rib> rib;
-  };
-  std::vector<LgDraft> drafts;
   for (const Asn oper : chosen) {
     LgDraft draft;
     draft.oper = oper;
@@ -145,18 +117,42 @@ void ScenarioBuilder::build_member_lgs() {
           !crossings.empty() &&
           std::all_of(crossings.begin(), crossings.end(),
                       [](const Crossing& c) { return c.via_route_server; });
-      if (!rs_only_edge) draft.direct_neighbors.push_back(neighbor);
+      if (!rs_only_edge)
+        draft.direct_neighbors.emplace_back(
+            neighbor, s.routing_->index().position(neighbor.asn));
     }
-    drafts.push_back(std::move(draft));
+    lg_drafts.push_back(std::move(draft));
   }
+}
 
-  // Bilateral / transit Adj-RIB-In, one routing tree per origin AS.
-  for (const auto& [prefix, origin] : s.origins_) {
-    const auto& tree = s.routing_->tree(origin);
-    for (auto& draft : drafts) {
-      for (const auto& neighbor : draft.direct_neighbors) {
-        if (!tree.reachable(neighbor.asn)) continue;
-        const Via via = tree.via(neighbor.asn);
+void ScenarioBuilder::propagate_routes() {
+  // Collector decorator: attach the RS communities the setter applied
+  // when the path crossed a route server, unless the IXP or a transit AS
+  // between the receiver and the vantage scrubs community attributes.
+  const auto decorate = [this](const bgp::AsPath& path,
+                               bgp::PathAttributes& attrs) {
+    const RsCrossing crossing = find_rs_crossing(s, path);
+    if (!crossing.found) return;
+    const IxpDeployment& ixp = s.ixps_[crossing.ixp_index];
+    if (ixp.spec.strips_communities) return;
+    const auto& asns = path.asns();
+    for (std::size_t i = 0; i <= crossing.receiver_position; ++i)
+      if (s.scrubbers_.count(asns[i])) return;
+    for (const auto community :
+         s.communities_for(crossing.setter, crossing.ixp_index))
+      attrs.add_community(community);
+  };
+
+  // One sweep, one routing tree per origin AS: the collectors archive the
+  // feeders' exports, and every member LG takes its bilateral / transit
+  // Adj-RIB-In.
+  const auto visit = [&](const PrefixOrigin& o, const RoutingTree& tree) {
+    for (auto& collector : s.collectors_)
+      collector.collect(o.prefix, tree, decorate);
+    for (auto& draft : lg_drafts) {
+      for (const auto& [neighbor, position] : draft.direct_neighbors) {
+        const Via via = tree.entries()[position].via;
+        if (via == Via::None) continue;
         // The neighbor exports customer routes to everyone; everything
         // else only to its customers and siblings. neighbor.rel is the
         // operator's relationship toward the neighbor, so C2P means the
@@ -170,7 +166,7 @@ void ScenarioBuilder::build_member_lgs() {
         auto path = tree.path_from(neighbor.asn);
         if (!path || path->contains(draft.oper)) continue;
         bgp::Route route;
-        route.prefix = prefix;
+        route.prefix = o.prefix;
         route.attrs.as_path = *path;
         route.attrs.next_hop = neighbor.asn;
         route.attrs.has_local_pref = true;
@@ -191,9 +187,12 @@ void ScenarioBuilder::build_member_lgs() {
         draft.rib->announce(neighbor.asn, neighbor.asn, std::move(route));
       }
     }
-  }
+  };
+  s.routing_->sweep(s.origins_, visit);
+}
 
-  for (auto& draft : drafts) {
+void ScenarioBuilder::build_member_lgs() {
+  for (auto& draft : lg_drafts) {
     // Route-server sessions: the filtered Adj-RIB-Out of every RS the
     // operator subscribes to. Paths learned this way carry the setter as
     // the peer; some operators prefer bilateral sessions (lower pref).

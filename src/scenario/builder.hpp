@@ -11,6 +11,17 @@ struct ScenarioBuilder {
   Scenario& s;
   Rng rng;
 
+  /// A member looking glass between its RNG draws and its final RIB.
+  struct LgDraft {
+    Asn oper = 0;
+    bool prefers_bilateral = false;
+    bool show_all_paths = true;
+    /// Neighbors with a direct session, and their routing positions.
+    std::vector<std::pair<topology::Neighbor, std::uint32_t>> direct_neighbors;
+    std::unique_ptr<bgp::Rib> rib;
+  };
+  std::vector<LgDraft> lg_drafts;
+
   ScenarioBuilder(Scenario& scenario, std::uint64_t seed)
       : s(scenario), rng(seed) {}
 
@@ -24,6 +35,8 @@ struct ScenarioBuilder {
   // build_observability.cpp
   void build_collectors();
   void build_rs_lgs();
+  void draft_member_lgs();
+  void propagate_routes();
   void build_member_lgs();
   void build_irr();
   void build_registry();

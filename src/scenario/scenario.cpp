@@ -80,8 +80,12 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
 
   routing_ = std::make_unique<propagation::RoutingModel>(topo_.graph);
 
+  // Every RNG draw of the collectors and member LGs comes first; the one
+  // routing sweep then feeds both.
   builder.build_collectors();
   builder.build_rs_lgs();
+  builder.draft_member_lgs();
+  builder.propagate_routes();
   builder.build_member_lgs();
   builder.build_irr();
   builder.build_registry();

@@ -1,9 +1,9 @@
-#include "pipeline/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <utility>
 
-namespace mlp::pipeline {
+namespace mlp::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(1, threads);
@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     stopping_ = true;
   }
   work_available_.notify_all();
@@ -23,7 +23,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     queue_.push_back(std::move(task));
   }
   work_available_.notify_one();
@@ -32,7 +32,7 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait_idle() {
   std::exception_ptr error;
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     // Explicit predicate loop: the thread-safety analysis only sees the
     // guarded reads when they happen in this scope, not inside a lambda.
     while (!queue_.empty() || in_flight_ != 0) idle_.wait(mutex_);
@@ -51,7 +51,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      util::MutexLock lock(mutex_);
+      MutexLock lock(mutex_);
       while (!stopping_ && queue_.empty()) work_available_.wait(mutex_);
       if (queue_.empty()) return;  // stopping with nothing left to run
       task = std::move(queue_.front());
@@ -64,7 +64,7 @@ void ThreadPool::worker_loop() {
     struct InFlightGuard {
       ThreadPool& pool;
       ~InFlightGuard() {
-        util::MutexLock lock(pool.mutex_);
+        MutexLock lock(pool.mutex_);
         --pool.in_flight_;
         if (pool.queue_.empty() && pool.in_flight_ == 0)
           pool.idle_.notify_all();
@@ -73,10 +73,10 @@ void ThreadPool::worker_loop() {
     try {
       task();
     } catch (...) {
-      util::MutexLock lock(mutex_);
+      MutexLock lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
     }
   }
 }
 
-}  // namespace mlp::pipeline
+}  // namespace mlp::util

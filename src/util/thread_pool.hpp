@@ -1,9 +1,12 @@
-// A small fixed-size FIFO thread pool for the inference pipeline.
+// A small fixed-size FIFO thread pool, shared by the inference pipeline
+// and the routing sweep.
 //
 // FIFO submission order is part of the contract: the pipeline enqueues all
 // extraction producers before the per-IXP consumers, so producers (which
 // never block) always run ahead of consumers that wait on their output,
-// and the pipeline cannot deadlock even with a single worker thread.
+// and the pipeline cannot deadlock even with a single worker thread. The
+// routing sweep uses it too: trees start in origin order, so the tree the
+// visiting thread waits for is always the oldest one in flight.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +18,7 @@
 
 #include "util/annotations.hpp"
 
-namespace mlp::pipeline {
+namespace mlp::util {
 
 class ThreadPool {
  public:
@@ -46,9 +49,9 @@ class ThreadPool {
  private:
   void worker_loop() MLP_EXCLUDES(mutex_);
 
-  util::Mutex mutex_;
-  util::CondVar work_available_;
-  util::CondVar idle_;
+  Mutex mutex_;
+  CondVar work_available_;
+  CondVar idle_;
   std::deque<std::function<void()>> queue_ MLP_GUARDED_BY(mutex_);
   std::size_t in_flight_ MLP_GUARDED_BY(mutex_) = 0;
   bool stopping_ MLP_GUARDED_BY(mutex_) = false;
@@ -57,4 +60,4 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace mlp::pipeline
+}  // namespace mlp::util

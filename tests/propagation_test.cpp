@@ -141,15 +141,87 @@ TEST(Routing, DeterministicTieBreak) {
   }
 }
 
-TEST(Routing, ModelCachesTrees) {
+/// One /24 per origin, in order.
+std::vector<PrefixOrigin> origins_for(std::initializer_list<bgp::Asn> asns) {
+  std::vector<PrefixOrigin> out;
+  std::uint32_t base = 0x0A000000;
+  for (const bgp::Asn asn : asns) {
+    out.push_back({IpPrefix(base, 24), asn});
+    base += 0x100;
+  }
+  return out;
+}
+
+TEST(Routing, SweepComputesEachOriginOnce) {
   AsGraph g = small_graph();
-  RoutingModel model(g);
-  const RoutingTree& t1 = model.tree(6);
-  const RoutingTree& t2 = model.tree(6);
-  EXPECT_EQ(&t1, &t2);
-  EXPECT_EQ(model.cached(), 1u);
-  model.tree(7);
-  EXPECT_EQ(model.cached(), 2u);
+  // 6 and 7 repeat, and not next to each other.
+  const auto origins = origins_for({6, 7, 6, 8, 7, 6});
+  for (const std::size_t threads : {1u, 4u}) {
+    RoutingModel model(g, threads);
+    std::vector<bgp::Asn> visited;
+    model.sweep(origins, [&](const PrefixOrigin& o, const RoutingTree& tree) {
+      EXPECT_EQ(tree.origin(), o.origin);
+      EXPECT_EQ(tree.entries().size(), g.as_count());
+      visited.push_back(o.origin);
+    });
+    EXPECT_EQ(visited, (std::vector<bgp::Asn>{6, 7, 6, 8, 7, 6}));
+    EXPECT_EQ(model.computed(), 3u) << threads << " threads";
+    model.sweep(origins_for({8}), [](auto&&...) {});
+    EXPECT_EQ(model.computed(), 4u);  // counts every sweep's trees
+  }
+}
+
+TEST(Routing, SweepTreesEqualComputeRoutes) {
+  topology::TopologyParams params;
+  params.n_ases = 300;
+  Rng rng(7);
+  const topology::Topology topo = topology::generate_topology(params, rng);
+  // Every AS twice, the second pass reversed: far more distinct origins
+  // than the window, and every tree still wanted long after it was built.
+  std::vector<PrefixOrigin> origins;
+  const auto ases = topo.graph.ases();
+  for (const bgp::Asn asn : ases) origins.push_back({IpPrefix(), asn});
+  for (auto it = ases.rbegin(); it != ases.rend(); ++it)
+    origins.push_back({IpPrefix(), *it});
+
+  RoutingModel model(topo.graph, 3);
+  std::size_t visits = 0;
+  model.sweep(origins, [&](const PrefixOrigin& o, const RoutingTree& tree) {
+    ASSERT_EQ(o.origin, origins[visits++].origin);
+    const RoutingTree want = compute_routes(topo.graph, o.origin);
+    ASSERT_EQ(tree.entries().size(), want.entries().size());
+    for (std::size_t p = 0; p < want.entries().size(); ++p) {
+      EXPECT_EQ(tree.entries()[p].via, want.entries()[p].via);
+      EXPECT_EQ(tree.entries()[p].length, want.entries()[p].length);
+      EXPECT_EQ(tree.entries()[p].next, want.entries()[p].next);
+    }
+  });
+  EXPECT_EQ(visits, origins.size());
+  EXPECT_EQ(model.computed(), ases.size());
+}
+
+TEST(Routing, SweepRejectsUnknownOriginBeforeAnyVisit) {
+  AsGraph g = small_graph();
+  RoutingModel model(g, 2);
+  std::size_t visits = 0;
+  auto count = [&visits](auto&&...) { ++visits; };
+  EXPECT_THROW(model.sweep(origins_for({6, 999}), count), InvalidArgument);
+  EXPECT_EQ(visits, 0u);
+  EXPECT_EQ(model.computed(), 0u);
+}
+
+TEST(Routing, SweepSurfacesVisitorException) {
+  AsGraph g = small_graph();
+  RoutingModel model(g, 2);
+  auto stop_at_8 = [](const PrefixOrigin& o, const RoutingTree&) {
+    if (o.origin == 8) throw InvalidArgument("stop");
+  };
+  EXPECT_THROW(model.sweep(origins_for({6, 7, 8, 1, 2, 3}), stop_at_8),
+               InvalidArgument);
+  // The model stays usable after an aborted sweep.
+  std::size_t visits = 0;
+  model.sweep(origins_for({6}), [&visits](auto&&...) { ++visits; });
+  EXPECT_EQ(visits, 1u);
 }
 
 TEST(Routing, GeneratedTopologyFullyRoutable) {
@@ -165,16 +237,6 @@ TEST(Routing, GeneratedTopologyFullyRoutable) {
 }
 
 // ---------------------------------------------------------------- collector
-
-std::vector<PrefixOrigin> origins_for(std::initializer_list<bgp::Asn> asns) {
-  std::vector<PrefixOrigin> out;
-  std::uint32_t base = 0x0A000000;
-  for (const bgp::Asn asn : asns) {
-    out.push_back({IpPrefix(base, 24), asn});
-    base += 0x100;
-  }
-  return out;
-}
 
 TEST(Collector, FullFeedSeesAllStages) {
   AsGraph g = small_graph();

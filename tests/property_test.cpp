@@ -2,6 +2,10 @@
 // the invariants the system's correctness rests on.
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <tuple>
+#include <unordered_map>
+
 #include "bgp/rib.hpp"
 #include "bgp/valley.hpp"
 #include "bgp/wire.hpp"
@@ -399,6 +403,125 @@ TEST_P(SeededProperty, RoutingPathsAreValleyFree) {
       EXPECT_FALSE(path->has_cycle());
     }
   }
+}
+
+// ---- The dense routing kernel equals a naive reference: the Gao-Rexford
+// expansion over per-origin std::unordered_map entries that the kernel
+// replaced, with the same (length, next-hop ASN, node ASN) tie-break.
+
+struct NaiveEntry {
+  propagation::Via via = propagation::Via::None;
+  std::uint32_t length = 0;
+  bgp::Asn next = 0;
+};
+
+std::unordered_map<bgp::Asn, NaiveEntry> naive_routes(
+    const topology::AsGraph& graph, bgp::Asn origin) {
+  using propagation::Via;
+  using Rel = bgp::Rel;
+  using Item = std::tuple<std::uint32_t, bgp::Asn, bgp::Asn>;
+  using Queue =
+      std::priority_queue<Item, std::vector<Item>, std::greater<Item>>;
+  std::unordered_map<bgp::Asn, NaiveEntry> entries;
+  auto expand = [&](Queue& pq, Via stage, bool up, bool down) {
+    while (!pq.empty()) {
+      const auto [length, next, node] = pq.top();
+      pq.pop();
+      NaiveEntry& entry = entries[node];
+      if (entry.via != Via::None) continue;
+      entry = NaiveEntry{stage, length, next};
+      for (const auto& n : graph.neighbors(node)) {
+        const bool traverse = n.rel == Rel::Sibling ||
+                              (up && n.rel == Rel::C2P) ||
+                              (down && n.rel == Rel::P2C);
+        if (traverse && entries[n.asn].via == Via::None)
+          pq.emplace(length + 1, node, n.asn);
+      }
+    }
+  };
+  Queue pq;
+  pq.emplace(1, origin, origin);
+  expand(pq, Via::Customer, true, false);
+  entries[origin] = NaiveEntry{Via::Origin, 1, origin};
+
+  std::vector<std::pair<bgp::Asn, NaiveEntry>> offers;
+  for (const auto& [asn, entry] : entries) {
+    if (entry.via != Via::Customer && entry.via != Via::Origin) continue;
+    for (const auto& n : graph.neighbors(asn)) {
+      if (n.rel != Rel::P2P) continue;
+      auto it = entries.find(n.asn);
+      if (it != entries.end() && it->second.via != Via::None) continue;
+      offers.emplace_back(n.asn, NaiveEntry{Via::Peer, entry.length + 1, asn});
+    }
+  }
+  for (const auto& [asn, offer] : offers) {
+    NaiveEntry& entry = entries[asn];
+    if (entry.via == Via::None ||
+        std::tie(offer.length, offer.next) < std::tie(entry.length, entry.next))
+      entry = offer;
+  }
+
+  for (const auto& [asn, entry] : entries) {
+    if (entry.via == Via::None) continue;
+    for (const auto& n : graph.neighbors(asn)) {
+      if (n.rel != Rel::P2C && n.rel != Rel::Sibling) continue;
+      auto it = entries.find(n.asn);
+      if (it != entries.end() && it->second.via != Via::None) continue;
+      pq.emplace(entry.length + 1, asn, n.asn);
+    }
+  }
+  expand(pq, Via::Provider, false, true);
+  return entries;
+}
+
+TEST_P(SeededProperty, DenseRoutingKernelMatchesNaiveReference) {
+  using propagation::PrefixOrigin;
+  using propagation::RoutingTree;
+  topology::TopologyParams params;
+  params.n_ases = 120;
+  params.n_clique = 4;
+  Rng rng(GetParam() ^ 0x5eed);
+  auto topo = topology::generate_topology(params, rng);
+  // Extra random edges of every kind (IXP-style peerings, siblings, and
+  // c2p edges that may close provider loops) plus ASes nobody reaches, so
+  // ties, the peer stage and unreachable entries are all exercised.
+  const auto base = topo.graph.ases();
+  for (int k = 0; k < 60; ++k) {
+    const bgp::Asn a = rng.pick(base), b = rng.pick(base);
+    if (a == b) continue;
+    const double roll = rng.uniform01();
+    bgp::Rel rel = bgp::Rel::C2P;
+    if (roll < 0.6)
+      rel = bgp::Rel::P2P;
+    else if (roll < 0.75)
+      rel = bgp::Rel::Sibling;
+    topo.graph.add_edge(a, b, rel);
+  }
+  topo.graph.add_as(4000000001u);
+  topo.graph.add_edge(4000000002u, 4000000003u, bgp::Rel::P2P);
+
+  const auto ases = topo.graph.ases();
+  std::vector<PrefixOrigin> origins;
+  for (const auto asn : ases) origins.push_back({IpPrefix(), asn});
+  propagation::RoutingModel model(topo.graph, 2);
+  std::size_t mismatches = 0;
+  model.sweep(origins, [&](const PrefixOrigin& o, const RoutingTree& tree) {
+    const auto naive = naive_routes(topo.graph, o.origin);
+    const auto& index = model.index();
+    for (std::uint32_t p = 0; p < index.asns.size(); ++p) {
+      const auto it = naive.find(index.asns[p]);
+      const NaiveEntry want = it == naive.end() ? NaiveEntry{} : it->second;
+      const auto& got = tree.entries()[p];
+      const bool same =
+          got.via == want.via &&
+          (want.via == propagation::Via::None ||
+           (got.length == want.length && index.asns[got.next] == want.next));
+      if (!same && ++mismatches <= 5)
+        ADD_FAILURE() << "origin " << o.origin << " AS" << index.asns[p];
+    }
+  });
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(model.computed(), ases.size());
 }
 
 // ---- RIB best-path is maximal under the decision process.

@@ -9,6 +9,7 @@
 #include "core/passive.hpp"
 #include "core/reciprocity.hpp"
 #include "core/validation.hpp"
+#include "mrt/table_dump.hpp"
 #include "scenario/scenario.hpp"
 
 namespace mlp::scenario {
@@ -261,6 +262,83 @@ TEST(ScenarioDeterminism, SameSeedSameEcosystem) {
   EXPECT_EQ(a.ixps()[0].rs_members, b.ixps()[0].rs_members);
   Scenario c(small_params(8));
   EXPECT_NE(a.all_rs_links(), c.all_rs_links());
+}
+
+// ------------------------------------------------ routing sweep pins
+
+/// bench::default_params(): the scenario every report binary runs.
+ScenarioParams report_params() {
+  ScenarioParams params;
+  params.topology.n_ases = 2000;
+  params.membership_scale = 0.30;
+  params.member_lgs = 40;
+  params.seed = 20130501;
+  return params;
+}
+
+std::uint64_t fnv1a(std::uint64_t hash,
+                    const std::vector<std::uint8_t>& bytes) {
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
+TEST(ScenarioPins, CollectorAndMemberLgRibsAtReportParams) {
+  // Digests recorded before routing moved to the origin-outer sweep: the
+  // archives and LG tables must stay byte-identical.
+  Scenario s(report_params());
+  std::uint64_t collectors = kFnvBasis;
+  for (auto& collector : s.collectors())
+    collectors = fnv1a(collectors, collector.table_dump(1367366400));
+  std::uint64_t lgs = kFnvBasis;
+  for (auto& lg : s.member_lgs())
+    lgs = fnv1a(lgs, mrt::dump_rib(*lg.rib, 1367366400, 0, lg.name));
+  EXPECT_EQ(collectors, 0x5602898c2b7fde1aull);
+  EXPECT_EQ(s.member_lgs().size(), 40u);
+  EXPECT_EQ(lgs, 0x9d491b67edb85dd7ull);
+  // One tree per distinct origin AS, shared by both collectors and all
+  // member LGs.
+  EXPECT_EQ(s.routing().computed(), s.topo().graph.as_count());
+}
+
+/// Every visit of one sweep: the prefix, the origin and a digest of the
+/// whole tree.
+std::vector<std::uint64_t> sweep_trace(const Scenario& s,
+                                       std::size_t threads) {
+  using propagation::PrefixOrigin;
+  using propagation::RoutingTree;
+  propagation::RoutingModel model(s.topo().graph, threads);
+  std::vector<std::uint64_t> trace;
+  model.sweep(s.origins(), [&](const PrefixOrigin& o, const RoutingTree& tree) {
+    std::vector<std::uint8_t> bytes;
+    auto put = [&bytes](std::uint32_t v) {
+      for (int shift = 0; shift < 32; shift += 8)
+        bytes.push_back(static_cast<std::uint8_t>(v >> shift));
+    };
+    put(o.prefix.address());
+    put(o.prefix.length());
+    put(o.origin);
+    put(tree.origin());
+    for (const auto& entry : tree.entries()) {
+      put(static_cast<std::uint32_t>(entry.via));
+      put(entry.length);
+      put(entry.next);
+    }
+    trace.push_back(fnv1a(kFnvBasis, bytes));
+  });
+  EXPECT_EQ(model.computed(), s.topo().graph.as_count());
+  return trace;
+}
+
+TEST_F(ScenarioTest, SweepIdenticalAtOneAndFourThreads) {
+  const auto& s = instance();
+  const auto one = sweep_trace(s, 1);
+  EXPECT_EQ(one.size(), s.origins().size());
+  EXPECT_EQ(one, sweep_trace(s, 4));
 }
 
 }  // namespace

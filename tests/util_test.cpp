@@ -1,8 +1,10 @@
 // Unit tests for the util library: rng, strings, bytes, stats, table,
-// flat ASN sets.
+// flat ASN sets, thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -12,11 +14,13 @@
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlp {
 namespace {
 
 using util::FlatAsnSet;
+using util::ThreadPool;
 
 // --------------------------------------------------------- FlatAsnSet
 
@@ -432,6 +436,64 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(fmt_percent(0.984), "98.4%");
   EXPECT_EQ(fmt_percent(0.5, 0), "50%");
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
+}
+
+// --------------------------------------------------------- ThreadPool
+
+TEST(ThreadPool, RunsEveryTask) {
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, FifoStartOrderWithOneWorker) {
+  ThreadPool pool(1);
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i)
+    pool.submit([&order, i] { order.push_back(i); });
+  pool.wait_idle();
+  ASSERT_EQ(order.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, ResolveDefaults) {
+  EXPECT_EQ(ThreadPool::resolve(3), 3u);
+  EXPECT_GE(ThreadPool::resolve(0), 1u);
+}
+
+TEST(ThreadPool, ThrowingTaskSurfacesFromWaitIdleNotTerminate) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  pool.submit([] { throw std::runtime_error("task boom"); });
+  // Tasks after the throwing one still run: the worker survives, and the
+  // in-flight count was released by the RAII guard (no wedged wait_idle).
+  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
+  try {
+    pool.wait_idle();
+    FAIL() << "expected the task's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task boom");
+  }
+  EXPECT_EQ(ran.load(), 8);
+  // The error was consumed: the pool is reusable and clean afterwards.
+  pool.submit([&ran] { ++ran; });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 9);
+}
+
+TEST(ThreadPool, FirstOfSeveralEscapedExceptionsWins) {
+  ThreadPool pool(1);  // single worker serializes the tasks
+  pool.submit([] { throw std::runtime_error("first"); });
+  pool.submit([] { throw std::runtime_error("second"); });
+  try {
+    pool.wait_idle();
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  pool.wait_idle();  // later losers are dropped, not replayed
 }
 
 }  // namespace

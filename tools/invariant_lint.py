@@ -29,10 +29,11 @@ on the offending line or the line directly above):
                             literal or foreign index would interleave two
                             feeds' observations and break the
                             deterministic merge.
-  no-naked-mutex            src/pipeline and src/stream must use the
-                            annotated util::Mutex/MutexLock/CondVar shim;
-                            naked std:: synchronization primitives are
-                            invisible to -Wthread-safety.
+  no-naked-mutex            src/pipeline, src/stream, src/propagation (the
+                            routing sweep) and the util thread pool must
+                            use the annotated util::Mutex/MutexLock/CondVar
+                            shim; naked std:: synchronization primitives
+                            are invisible to -Wthread-safety.
   escape-hatch-comment      Every thread-safety escape hatch
                             (MLP_NO_THREAD_SAFETY_ANALYSIS, assert_held())
                             must carry an explanatory comment on the same
@@ -60,7 +61,8 @@ ALLOW_RE = re.compile(r"//\s*invariant-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)
 
 # Rule scopes, relative to the repo root.
 EXTRACTION_DIRS = ("src/pipeline", "src/stream", "src/core")
-SHIM_DIRS = ("src/pipeline", "src/stream")
+SHIM_DIRS = ("src/pipeline", "src/stream", "src/propagation",
+             "src/util/thread_pool.hpp", "src/util/thread_pool.cpp")
 PIPELINE_DIR = "src/pipeline"
 
 MATERIALIZING_RE = re.compile(r"\b(parse_rib|parse_updates|decode_all)\s*\(")
@@ -245,6 +247,16 @@ SELF_TESTS = [
      "util::Mutex mu_;\n", False),
     ("no-naked-mutex", "src/util/annotations.hpp",
      "std::mutex inner_;\n", False),  # the shim itself is out of scope
+    ("no-naked-mutex", "src/util/thread_pool.hpp",
+     "std::condition_variable idle_;\n", True),
+    ("no-naked-mutex", "src/util/thread_pool.cpp",
+     "std::lock_guard<std::mutex> lock(mutex_);\n", True),
+    ("no-naked-mutex", "src/util/thread_pool.cpp",
+     "util::MutexLock lock(mutex_);\n", False),
+    ("no-naked-mutex", "src/propagation/routing.cpp",
+     "std::unique_lock<std::mutex> lock(mu);\n", True),
+    ("no-naked-mutex", "src/util/rng.cpp",
+     "std::mutex unrelated_;\n", False),  # rest of util is out of scope
     ("escape-hatch-comment", "src/pipeline/x.cpp",
      "void f() MLP_NO_THREAD_SAFETY_ANALYSIS;\n", True),
     ("escape-hatch-comment", "src/pipeline/x.cpp",
