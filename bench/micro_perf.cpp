@@ -539,7 +539,6 @@ void BM_UpdateStreamIngest(benchmark::State& state) {
     pipeline::PipelineConfig config;
     config.threads = 2;
     config.passive.min_duration_s = 600;
-    config.keep_engines = false;
     pipeline::InferencePipeline pipe(config);
     for (const auto& ixp : fixture.ixps) pipe.add_ixp(ixp);
     pipe.add_update_stream(archive);
@@ -988,7 +987,6 @@ void BM_PipelineRun(benchmark::State& state) {
   for (auto _ : state) {
     pipeline::PipelineConfig config;
     config.threads = 2;
-    config.keep_engines = false;  // stats+links product, like the CLI
     pipeline::InferencePipeline pipe(config);
     for (std::size_t i = 0; i < s.ixps().size(); ++i)
       pipe.add_ixp(s.ixp_context(i));

@@ -322,9 +322,6 @@ int run_infer(int argc, char** argv) {
   std::string config_path;
   std::vector<std::string> archives;
   pipeline::PipelineConfig config;
-  // The CLI reports stats and links only; the engines would be dead
-  // weight in the result.
-  config.keep_engines = false;
   bool infer_rels = true;
   bool updates_mode = false;
   for (int i = 0; i < argc; ++i) {

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <vector>
 
 namespace mlp::core {
 
 ActiveSurveyResult run_active_survey(lg::LookingGlassServer& lg,
                                      const ActiveConfig& config,
-                                     const std::set<Asn>& skip) {
+                                     const FlatAsnSet& skip) {
   ActiveSurveyResult result;
   lg::LookingGlassClient client(lg);
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 
 #include "core/types.hpp"
 #include "lg/lg_client.hpp"
@@ -55,6 +54,6 @@ struct ActiveSurveyResult {
 /// still count toward naive_queries.
 ActiveSurveyResult run_active_survey(lg::LookingGlassServer& lg,
                                      const ActiveConfig& config = {},
-                                     const std::set<Asn>& skip = {});
+                                     const FlatAsnSet& skip = {});
 
 }  // namespace mlp::core

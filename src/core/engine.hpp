@@ -65,7 +65,7 @@ EngineStats& operator+=(EngineStats& lhs, const EngineStats& rhs);
 /// Not thread-safe: the accessors memoise the merged per-member policy
 /// and the incremental reciprocity bitset, so even const calls must not
 /// race add() or each other. The pipeline confines each engine (the
-/// WRITER side) to one consumer task; concurrent readers are served by
+/// WRITER side) to its shard's pump; concurrent readers are served by
 /// immutable EngineSnapshots published via freeze(), never by the engine
 /// itself.
 class MlpInferenceEngine {

@@ -2,8 +2,8 @@
 // publication instant (an "epoch").
 //
 // The live pipeline's reader/writer split: the writer side
-// (MlpInferenceEngine) stays confined to its one consumer task and
-// mutates freely; whenever it reaches a publishable point it freeze()s
+// (MlpInferenceEngine) stays confined to its shard's pump and mutates
+// freely; whenever it reaches a publishable point it freeze()s
 // an EngineSnapshot -- a self-contained copy of the member index, the
 // reciprocity bitset and the derived stats -- and swaps it behind an
 // atomic shared_ptr. Readers (LiveSession::epoch_snapshot, the

@@ -11,16 +11,6 @@
 
 namespace mlp::pipeline {
 
-namespace {
-
-std::shared_ptr<const std::vector<core::IxpContext>> share(
-    std::vector<core::IxpContext> ixps) {
-  return std::make_shared<const std::vector<core::IxpContext>>(
-      std::move(ixps));
-}
-
-}  // namespace
-
 // ------------------------------------------------------------ FeedHandle
 
 void FeedHandle::feed(std::span<const std::uint8_t> chunk) {
@@ -28,8 +18,7 @@ void FeedHandle::feed(std::span<const std::uint8_t> chunk) {
   LiveSession::Lane& target = session_->lane(index_);
   target.last_activity_ms.store(session_->clock_->now_ms(),
                                 std::memory_order_relaxed);
-  session_->refresh_idle();
-  session_->supervise_stalls();
+  session_->sweep();
   util::MutexLock lock(target.mutex);
   if (target.closed)
     throw InvalidArgument("live session: feed() on closed feed " +
@@ -96,7 +85,7 @@ void FeedHandle::close() {
   if (!session_) throw InvalidArgument("feed handle: not attached");
   LiveSession::Lane& target = session_->lane(index_);
   util::MutexLock lock(target.mutex);
-  session_->close_locked(target, index_);
+  session_->close_locked(target);
 }
 
 // ----------------------------------------------------------- LiveSession
@@ -106,21 +95,18 @@ LiveSession::LiveSession(LiveConfig config,
                          bgp::RelFn relationships)
     : config_(std::move(config)),
       clock_(config_.clock ? config_.clock : stream::system_clock()),
-      contexts_(share(std::move(ixps))),
+      contexts_(std::make_shared<const std::vector<core::IxpContext>>(
+          std::move(ixps))),
       relationships_(std::move(relationships)),
-      pool_(util::ThreadPool::resolve(config_.threads)) {
+      shards_(contexts_, config_.merge, config_.threads,
+              config_.publish_every_batches,
+              config_.assume_open_for_unobserved) {
   if (config_.batch_size == 0) config_.batch_size = 1;
   // Concatenate's drain cursor advances past a closed-and-drained source
   // and cannot rewind, so a quarantined feed could never merge again:
   // escalate quarantine to Dead instead of pretending otherwise.
   if (config_.merge == MergePolicy::Concatenate)
     config_.supervision.allow_readmission = false;
-  shards_.reserve(contexts_->size());
-  for (const core::IxpContext& context : *contexts_)
-    shards_.push_back(std::make_unique<Shard>(context, config_.merge));
-  // Publish epoch 1 (the empty state) per shard before any feed can
-  // exist: epoch readers never observe a null snapshot.
-  for (std::size_t i = 0; i < shards_.size(); ++i) publish_epoch(i);
 }
 
 FeedHandle LiveSession::add_feed(FeedOptions options) {
@@ -130,7 +116,7 @@ FeedHandle LiveSession::add_feed(FeedOptions options) {
   const std::size_t index = feeds_.size();
   // Queue source slots stay in lockstep with feed indices: every shard
   // grows exactly one source per add_feed, under the same lock.
-  for (auto& shard : shards_) shard->queue.add_source();
+  shards_.add_source();
   auto lane = std::make_unique<Lane>(this, contexts_, relationships_,
                                      config_.passive);
   // The sink runs under the lane mutex (extractor calls happen there) but
@@ -169,8 +155,7 @@ FeedHandle LiveSession::add_feed(FeedOptions options) {
             raw->observations_discarded += batch.size();
             return;
           }
-          shards_[ixp]->queue.push(index, std::move(batch));
-          schedule_pump(ixp);
+          shards_.push(index, ixp, std::move(batch));
         },
         config_.batch_size);
   }
@@ -204,94 +189,12 @@ LiveSession::LaneLockSet::~LaneLockSet() {
     (*it)->mutex.unlock();
 }
 
-void LiveSession::pump(std::size_t index) {
-  Shard& shard = *shards_[index];
-  std::vector<core::Observation> batch;
-  for (;;) {
-    while (shard.queue.try_pop(batch)) {
-      for (const core::Observation& observation : batch)
-        shard.engine.add(observation);
-      // Mid-run publish cadence: bound reader staleness even while a
-      // deep backlog drains.
-      if (config_.publish_every_batches != 0 &&
-          ++shard.batches_since_publish >= config_.publish_every_batches)
-        publish_epoch(index);
-    }
-    // The drain run settled (the merge frontier is exhausted): publish
-    // INSIDE the ownership window -- after the store(false) below a
-    // successor pump may own the engine.
-    publish_epoch(index);
-    shard.pump_scheduled.store(false, std::memory_order_release);
-    if (!shard.queue.has_ready()) return;
-    // A push raced in after the drain: reclaim sole ownership unless the
-    // producer already scheduled a successor pump.
-    if (shard.pump_scheduled.exchange(true, std::memory_order_acq_rel))
-      return;
-  }
-}
-
-void LiveSession::schedule_pump(std::size_t index) {
-  Shard& shard = *shards_[index];
-  if (!shard.pump_scheduled.exchange(true, std::memory_order_acq_rel))
-    pool_.submit([this, index] { pump(index); });
-}
-
-void LiveSession::publish_epoch(std::size_t index) {
-  Shard& shard = *shards_[index];
-  shard.batches_since_publish = 0;
-  const std::uint64_t generation = shard.engine.generation();
-  // Re-publishing an unchanged generation would be a copy for nothing:
-  // the current epoch already describes this exact state.
-  if (shard.epochs_published.load(std::memory_order_relaxed) != 0 &&
-      generation == shard.last_published_generation)
-    return;
-  const std::uint64_t epoch =
-      shard.epochs_published.load(std::memory_order_relaxed) + 1;
-  shard.published.store(
-      shard.engine.freeze(config_.assume_open_for_unobserved, epoch),
-      std::memory_order_release);
-  shard.epochs_published.store(epoch, std::memory_order_release);
-  shard.last_published_generation = generation;
-}
-
-std::shared_ptr<const core::EngineSnapshot> LiveSession::epoch_snapshot(
-    std::size_t index) const {
-  if (index >= shards_.size())
-    throw InvalidArgument("live session: bad IXP index");
-  return shards_[index]->published.load(std::memory_order_acquire);
-}
-
-std::shared_ptr<const core::EngineSnapshot> LiveSession::epoch_snapshot(
-    const std::string& ixp) const {
-  return epoch_snapshot(ixp_index(ixp));
-}
-
-std::size_t LiveSession::ixp_index(const std::string& ixp) const {
-  // contexts_ is immutable after construction, so the name scan needs no
-  // lock.
-  for (std::size_t i = 0; i < contexts_->size(); ++i)
-    if ((*contexts_)[i].name == ixp) return i;
-  throw InvalidArgument("live session: unknown IXP \"" + ixp + "\"");
-}
-
-std::uint32_t LiveSession::merge_frontier(std::size_t index) const {
-  if (index >= shards_.size())
-    throw InvalidArgument("live session: bad IXP index");
-  return shards_[index]->queue.min_watermark();
-}
-
-std::size_t LiveSession::merge_backlog(std::size_t index) const {
-  if (index >= shards_.size())
-    throw InvalidArgument("live session: bad IXP index");
-  return shards_[index]->queue.depth();
-}
-
 std::vector<std::shared_ptr<const core::EngineSnapshot>>
 LiveSession::epoch_snapshots() const {
   std::vector<std::shared_ptr<const core::EngineSnapshot>> out;
   out.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i)
-    out.push_back(epoch_snapshot(i));
+    out.push_back(shards_.epoch_snapshot(i));
   return out;
 }
 
@@ -300,59 +203,31 @@ void LiveSession::publish_watermark(Lane& target) {
   const std::uint32_t clock = target.extractor.stream_time();
   if (clock <= target.watermark_published) return;
   target.watermark_published = clock;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    shards_[shard]->queue.set_watermark(target.index, clock);
-    // Raising this lane's watermark can lift the merge frontier past
-    // other lanes' queued observations; make sure a pump notices.
-    schedule_pump(shard);
-  }
+  shards_.set_watermark(target.index, clock);
 }
 
-void LiveSession::refresh_idle() {
-  if (config_.merge != MergePolicy::Watermark ||
-      config_.idle_feed_grace_ms == 0)
-    return;
+void LiveSession::sweep() {
+  if (!parks_idle() && !watches_stalls()) return;
   util::MutexLock lock(feeds_mutex_);
-  refresh_idle_locked();
+  sweep_locked();
 }
 
-void LiveSession::refresh_idle_locked() {
-  if (config_.merge != MergePolicy::Watermark ||
-      config_.idle_feed_grace_ms == 0)
-    return;
+void LiveSession::sweep_locked() {
+  if (!parks_idle() && !watches_stalls()) return;
   const std::uint64_t now = clock_->now_ms();
   for (auto& lane : feeds_) {
     const std::uint64_t last =
         lane->last_activity_ms.load(std::memory_order_relaxed);
-    const bool stale =
-        now > last && now - last > config_.idle_feed_grace_ms;
-    if (lane->idle.load(std::memory_order_relaxed) == stale) continue;
-    lane->idle.store(stale, std::memory_order_relaxed);
-    for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-      shards_[shard]->queue.set_idle(lane->index, stale);
-      schedule_pump(shard);
+    const bool stale = now > last && now - last > config_.idle_feed_grace_ms;
+    if (parks_idle() && lane->idle.load(std::memory_order_relaxed) != stale) {
+      lane->idle.store(stale, std::memory_order_relaxed);
+      shards_.set_idle(lane->index, stale);
     }
-  }
-}
-
-void LiveSession::supervise_stalls() {
-  if (!config_.supervision.enabled || config_.supervision.stall_timeout_ms == 0)
-    return;
-  util::MutexLock lock(feeds_mutex_);
-  supervise_stalls_locked();
-}
-
-void LiveSession::supervise_stalls_locked() {
-  if (!config_.supervision.enabled || config_.supervision.stall_timeout_ms == 0)
-    return;
-  const std::uint64_t now = clock_->now_ms();
-  for (auto& lane : feeds_) {
     // Lock-free pre-check: only a lane whose activity stamp is actually
     // stale pays for its mutex, so the common all-healthy sweep is a few
     // relaxed loads per feed.
-    const std::uint64_t last =
-        lane->last_activity_ms.load(std::memory_order_relaxed);
-    if (now <= last || now - last < config_.supervision.stall_timeout_ms)
+    if (!watches_stalls() || now <= last ||
+        now - last < config_.supervision.stall_timeout_ms)
       continue;
     Lane& target = *lane;
     util::MutexLock lane_lock(target.mutex);
@@ -392,13 +267,10 @@ void LiveSession::apply_supervision(Lane& target,
     case FeedSupervisor::Action::Die:
       if (!target.queues_closed) {
         target.queues_closed = true;
-        for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-          // The close sentinel: the lane stops constraining the frontier
-          // (Watermark) / the drain cursor steps over it (Concatenate),
-          // and its already-queued observations become drainable.
-          shards_[shard]->queue.close(target.index);
-          schedule_pump(shard);
-        }
+        // The close sentinel: the lane stops constraining the frontier
+        // (Watermark) / the drain cursor steps over it (Concatenate), and
+        // its already-queued observations become drainable.
+        shards_.close(target.index);
       }
       break;
     case FeedSupervisor::Action::Readmit:
@@ -408,10 +280,7 @@ void LiveSession::apply_supervision(Lane& target,
       // allow_readmission is forced off).
       if (target.queues_closed && !target.closed) {
         target.queues_closed = false;
-        for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-          shards_[shard]->queue.reopen(target.index);
-          schedule_pump(shard);
-        }
+        shards_.reopen(target.index);
       }
       break;
   }
@@ -523,18 +392,12 @@ void LiveSession::lane_feed(Lane& target, std::span<const std::uint8_t> chunk) {
   publish_watermark(target);
 }
 
-void LiveSession::close_locked(Lane& target, std::size_t index) {
+void LiveSession::close_locked(Lane& target) {
   if (target.closed) return;
   target.extractor.finish();  // flush announce-window + partial batches
   publish_watermark(target);
   target.closed = true;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    shards_[shard]->queue.close(index);
-    // Closing a source can unblock buffered batches (it stops
-    // constraining the watermark / later feeds become the in-order
-    // head); make sure a pump notices.
-    schedule_pump(shard);
-  }
+  shards_.close(target.index);
 }
 
 void LiveSession::feed(std::span<const std::uint8_t> chunk) {
@@ -583,8 +446,7 @@ FeedStats LiveSession::lane_stats(Lane& target) const {
   stats.watermark = target.extractor.stream_time();
   // Lane mutex -> queue mutex is the sink push path's order, so reading
   // the depth here composes with concurrent feeders.
-  for (const auto& shard : shards_)
-    stats.queue_depth += shard->queue.depth(target.index);
+  stats.queue_depth = shards_.depth(target.index);
   stats.idle = target.idle.load(std::memory_order_relaxed);
   stats.closed = target.closed;
   stats.passive = target.extractor.stats();
@@ -647,14 +509,7 @@ SessionTotals LiveSession::collect_totals_locked() {
   return totals;
 }
 
-LiveSnapshot LiveSession::snapshot() {
-  // Stop the world: holding every lane mutex blocks concurrent feeders,
-  // so after the batch flush and pool settle no producer can race the
-  // engine reads below. wait_idle also rethrows anything a pump leaked.
-  util::MutexLock feeds_lock(feeds_mutex_);
-  refresh_idle_locked();
-  supervise_stalls_locked();
-  LaneLockSet lane_locks(feeds_);
+void LiveSession::settle_locked() {
   for (auto& lane : feeds_) {
     Lane& target = *lane;
     target.mutex.assert_held();  // LaneLockSet holds every lane mutex
@@ -662,7 +517,17 @@ LiveSnapshot LiveSession::snapshot() {
     target.extractor.flush_batches();
     publish_watermark(target);
   }
-  pool_.wait_idle();
+  shards_.wait_idle();
+}
+
+LiveSnapshot LiveSession::snapshot() {
+  // Stop the world: holding every lane mutex blocks concurrent feeders,
+  // so after the batch flush and pool settle no producer can race the
+  // engine reads below. wait_idle also rethrows anything a pump leaked.
+  util::MutexLock feeds_lock(feeds_mutex_);
+  sweep_locked();
+  LaneLockSet lane_locks(feeds_);
+  settle_locked();
 
   LiveSnapshot snap;
   static_cast<SessionTotals&>(snap) = collect_totals_locked();
@@ -672,9 +537,8 @@ LiveSnapshot LiveSession::snapshot() {
     // pump's engine ownership transfers here: publish the flushed state
     // and read the count off the published epoch, keeping this snapshot
     // and concurrent epoch_snapshot() readers in agreement.
-    publish_epoch(i);
-    snap.links_per_ixp.push_back(
-        shards_[i]->published.load(std::memory_order_acquire)->link_count());
+    shards_.publish_epoch(i);
+    snap.links_per_ixp.push_back(shards_.epoch_snapshot(i)->link_count());
   }
   return snap;
 }
@@ -684,29 +548,22 @@ LiveResult LiveSession::finish() {
   if (finished_.exchange(true, std::memory_order_acq_rel))
     throw InvalidArgument("live session: finish() already called");
   // Close remaining feeds in add order (the cross-feed merge order).
-  for (std::size_t i = 0; i < feeds_.size(); ++i) {
-    Lane& target = *feeds_[i];
+  for (auto& lane : feeds_) {
+    Lane& target = *lane;
     util::MutexLock lane_lock(target.mutex);
-    close_locked(target, i);
+    close_locked(target);
   }
-  pool_.wait_idle();
+  shards_.wait_idle();
 
   LiveResult result;
   {
     LaneLockSet lane_locks(feeds_);
     static_cast<SessionTotals&>(result) = collect_totals_locked();
   }
-  result.per_ixp.resize(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // Everything is closed and drained: publish the final epoch so a
-    // query server lingering past finish() answers from exactly the
-    // state this result reports.
-    publish_epoch(i);
-    const core::MlpInferenceEngine& engine = shards_[i]->engine;
-    IxpResult& slot = result.per_ixp[i];
-    slot.name = engine.context().name;
-    fill_ixp_result(slot, engine, config_.assume_open_for_unobserved);
-  }
+  // Everything is closed and drained: the result is read off each shard's
+  // final epoch, so a query server lingering past finish() answers from
+  // exactly the state this result reports.
+  result.per_ixp = shards_.results();
   result.all_links = merge_links(result.per_ixp);
   return result;
 }
@@ -723,14 +580,7 @@ std::vector<std::uint8_t> LiveSession::serialize_state() {
   if (finished_.load(std::memory_order_acquire))
     throw InvalidArgument("live session: serialize_state() after finish()");
   LaneLockSet lane_locks(feeds_);
-  for (auto& lane : feeds_) {
-    Lane& target = *lane;
-    target.mutex.assert_held();  // LaneLockSet holds every lane mutex
-    if (target.closed) continue;
-    target.extractor.flush_batches();
-    publish_watermark(target);
-  }
-  pool_.wait_idle();
+  settle_locked();
 
   ByteWriter writer;
   writer.u8(static_cast<std::uint8_t>(config_.merge));
@@ -953,10 +803,9 @@ void LiveSession::restore_state(std::span<const std::uint8_t> payload) {
   // pump can be running here (restore requires zero bytes fed, so no
   // batch was ever pushed), so the engine ownership rule holds.
   for (std::size_t shard = 0; shard < shards_.size(); ++shard)
-    publish_epoch(shard);
+    shards_.publish_epoch(shard);
   // Anything restored below the merge frontier is drainable right away.
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard)
-    schedule_pump(shard);
+  shards_.schedule_all();
 }
 
 std::vector<std::uint64_t> LiveSession::acknowledged_offsets() {

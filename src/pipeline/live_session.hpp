@@ -19,35 +19,29 @@
 //        |                     |                     window + stats +
 //        +----------+----------+                     stream clock
 //                   v
-//   per-IXP ObservationQueue, source index == feed index
-//                   |
+//   ShardSet (shard_set.hpp): per-IXP ObservationQueue, source index ==
+//                   |        feed index
 //                   v
 //   MlpInferenceEngine::add on a thread pool (one pump per IXP)
 //
 // Multi-feed determinism: each feed is an independent ingest lane, so
-// per-feed engine add-order equals that feed's stream order. How lanes
-// merge is LiveConfig::merge:
+// per-feed engine add-order equals that feed's stream order. Lanes merge
+// under LiveConfig::merge (see observation_queue.hpp):
 //
 //   MergePolicy::Watermark (default) -- each lane publishes its
-//   extractor's stream clock (the running max of consumed record
-//   timestamps) as a watermark after every chunk; the per-IXP queues
-//   drain observations strictly below the minimum watermark over open
-//   feeds, smallest (timestamp, feed index) first. The merged engine
-//   order is the unique stable timestamp merge of the per-feed
-//   observation sequences: a pure function of each feed's byte
-//   sequence, independent of arrival interleaving, chunking and thread
-//   count. Open-ended feeds merge continuously -- snapshot() reflects
-//   cross-feed observations mid-stream, no close() required. A feed
-//   that stalls holds the frontier back; LiveConfig::idle_feed_grace
-//   lets the session park such a feed (its watermark stops counting)
-//   until it speaks again, trading the determinism guarantee for
-//   liveness -- leave it 0 for reproducible runs.
+//   extractor's stream clock as a watermark after every chunk. The merged
+//   engine order is the unique stable timestamp merge of the per-feed
+//   observation sequences, independent of arrival interleaving, chunking
+//   and thread count, and open-ended feeds merge continuously. A feed
+//   that stalls holds the frontier back; LiveConfig::idle_feed_grace_ms
+//   parks it, trading determinism for liveness -- leave it 0 for
+//   reproducible runs.
 //
-//   MergePolicy::Concatenate -- the legacy strict source-index drain:
-//   the merged order is the concatenation in add_feed order, and a later
-//   feed's observations buffer until every earlier feed closes. Pinned
-//   by the archive-equivalence matrix tests; matches InferencePipeline
-//   over the same per-feed archives.
+//   MergePolicy::Concatenate -- strict add_feed order: a later feed's
+//   observations buffer until every earlier feed closes.
+//   InferencePipeline drains its archives through the same ShardSet
+//   under this policy, so a session matches it over the same per-feed
+//   archives by construction.
 //
 // BMP session state: a BMP lane surfaces RFC 7854 PeerUp/PeerDown
 // messages as session boundaries -- the lane's extractor tears down the
@@ -75,19 +69,11 @@
 // published epoch (a popcount over the reciprocity bitset) -- no
 // link-set materialization.
 //
-// Epoch publishing decouples READERS from ingest entirely: each shard's
-// pump periodically (every LiveConfig::publish_every_batches drained
-// batches, after every watermark-advance drain run, and at every
-// stop-the-world point) freezes the engine into an immutable
-// core::EngineSnapshot and swaps it behind an atomic shared_ptr.
-// epoch_snapshot() hands that pointer out with ONE atomic load -- no
-// feeds_mutex_, no lane mutex, no stop-the-world -- so any number of
-// query threads (the `mlp_infer query` server, dashboards, benchmarks)
-// read a consistent epoch while the feed threads keep ingesting.
-// Staleness is bounded by the publish cadence: at most the in-flight
-// work of one pump run (publish_every_batches batches) behind the
-// engine, and exactly current at any settled point (snapshot()/
-// finish()/restore_state() republish before returning).
+// Epoch publishing decouples READERS from ingest entirely (see
+// shard_set.hpp): epoch_snapshot() is ONE atomic load -- no feeds_mutex_,
+// no lane mutex, no stop-the-world. An epoch trails the engine by at most
+// one pump run's publish_every_batches batches, and is exactly current at
+// any settled point (snapshot()/finish()/restore_state() republish).
 #pragma once
 
 #include <atomic>
@@ -103,14 +89,13 @@
 #include "core/passive.hpp"
 #include "pipeline/feed_supervisor.hpp"
 #include "pipeline/observation_queue.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/shard_set.hpp"
 #include "stream/bmp_framer.hpp"
 #include "stream/clock.hpp"
 #include "stream/decoder.hpp"
 #include "stream/framer.hpp"
 #include "stream/source.hpp"
 #include "util/annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlp {
 class ByteWriter;
@@ -321,7 +306,9 @@ class FeedHandle {
 class LiveSession {
  public:
   /// `relationships` resolves setter case 3 (may be null). IXP order
-  /// fixes the per_ixp / links_per_ixp index.
+  /// fixes the per_ixp / links_per_ixp index. Throws InvalidArgument when
+  /// two IXPs share a name (name-addressed readers could not reach the
+  /// second).
   LiveSession(LiveConfig config, std::vector<core::IxpContext> ixps,
               bgp::RelFn relationships = nullptr);
 
@@ -358,35 +345,28 @@ class LiveSession {
   std::size_t ixp_count() const { return shards_.size(); }
   std::size_t feed_count() MLP_EXCLUDES(feeds_mutex_);
 
-  /// Lock-free reader API: the current published epoch of IXP `index`
-  /// (construction order). ONE atomic shared_ptr load -- never
-  /// feeds_mutex_, never a lane mutex, never a pool settle -- so query
-  /// threads scale independently of ingest. Never null (epoch 1
-  /// publishes in the constructor); the returned snapshot stays valid
-  /// for as long as the caller holds it, even across restore_state()
-  /// and session destruction. Throws InvalidArgument on a bad index.
+  /// Reader API (ShardSet's readers, also reachable through shards()):
+  /// never feeds_mutex_, never a lane mutex, never a pool settle. An
+  /// epoch is never null (epoch 1 publishes in the constructor) and stays
+  /// valid for as long as the caller holds it, even across
+  /// restore_state() and session destruction. IXPs are addressed by
+  /// construction-order index or by IxpContext::name; a bad index or
+  /// unknown name throws InvalidArgument. epoch_snapshots() loads every
+  /// IXP independently (not a cross-IXP consistent cut).
   std::shared_ptr<const core::EngineSnapshot> epoch_snapshot(
-      std::size_t index) const;
-  /// Same, addressed by IXP name (IxpContext::name). Throws
-  /// InvalidArgument for an unknown name.
+      std::size_t index) const {
+    return shards_.epoch_snapshot(index);
+  }
   std::shared_ptr<const core::EngineSnapshot> epoch_snapshot(
-      const std::string& ixp) const;
-  /// Resolve an IXP name to its construction-order index (the IXP set is
-  /// immutable after construction, so this is lock-free). Throws
-  /// InvalidArgument for an unknown name.
-  std::size_t ixp_index(const std::string& ixp) const;
-  /// Every IXP's current epoch, in construction order. The per-shard
-  /// loads are independent (not a cross-IXP consistent cut).
+      const std::string& ixp) const {
+    return shards_.epoch_snapshot(shards_.ixp_index(ixp));
+  }
+  std::size_t ixp_index(const std::string& ixp) const {
+    return shards_.ixp_index(ixp);
+  }
   std::vector<std::shared_ptr<const core::EngineSnapshot>> epoch_snapshots()
       const;
-
-  /// Observability gauges for IXP `index`, pairing an epoch with how far
-  /// ingest has run ahead of it: the shard queue's merge frontier
-  /// (ObservationQueue::min_watermark) and its undrained backlog. These
-  /// take only the shard queue's own mutex -- never feeds_mutex_ or a
-  /// lane mutex -- so they are safe on the query path.
-  std::uint32_t merge_frontier(std::size_t index) const;
-  std::size_t merge_backlog(std::size_t index) const;
+  const ShardSet& shards() const { return shards_; }
 
   /// Complete records framed so far, summed over feeds. Much cheaper
   /// than snapshot() (no batch flush, no pool settle): callers pace
@@ -456,7 +436,7 @@ class LiveSession {
     /// Mirror of framer.records(), published after every feed so
     /// records() can pace snapshots without taking lane mutexes.
     std::atomic<std::uint64_t> records_framed{0};
-    /// Idle tracking (lock-free: read by other feeds' refresh_idle).
+    /// Idle tracking (lock-free: read by other feeds' sweep).
     std::atomic<std::uint64_t> last_activity_ms{0};
     std::atomic<bool> idle{false};
     /// Highest watermark pushed to the queues.
@@ -475,35 +455,6 @@ class LiveSession {
     /// distinct from the user-visible `closed`: a readmitted feed reopens
     /// its sources, a close()d one never does.
     bool queues_closed MLP_GUARDED_BY(mutex) = false;
-  };
-
-  /// One IXP's inference lane: a multi-source queue (source == feed)
-  /// feeding an engine, drained by at most one pump task at a time.
-  struct Shard {
-    Shard(core::IxpContext context, MergePolicy policy)
-        : queue(0, policy), engine(std::move(context)) {}
-    ObservationQueue queue;
-    core::MlpInferenceEngine engine;
-    /// Owner flag of the pump task (the engine is not thread-safe).
-    std::atomic<bool> pump_scheduled{false};
-    /// The published epoch: deliberately the ONE unguarded shared object
-    /// of the session. The engine owner (a pump inside its ownership
-    /// window, or a stop-the-world path after pool settle) freezes an
-    /// immutable EngineSnapshot and swaps it in; readers load it
-    /// lock-free and share ownership. No mutex guards it BY DESIGN --
-    /// immutability of the pointee plus the atomic shared_ptr swap IS
-    /// the synchronization, which is what keeps the query path off
-    /// feeds_mutex_ and the lane mutexes entirely.
-    std::atomic<std::shared_ptr<const core::EngineSnapshot>> published;
-    /// Monotone publication counter; serialized into checkpoints so a
-    /// resumed session's epochs keep ascending.
-    std::atomic<std::uint64_t> epochs_published{0};
-    /// Publish bookkeeping, confined to the engine owner exactly like
-    /// the engine itself (pump ownership window / settled world): which
-    /// engine generation the current epoch describes, and batches
-    /// drained since the last publish.
-    std::uint64_t last_published_generation = 0;
-    std::size_t batches_since_publish = 0;
   };
 
   /// RAII over the dynamic all-lanes lock set used by the stop-the-world
@@ -525,37 +476,30 @@ class LiveSession {
     std::vector<Lane*> locked_;
   };
 
-  /// Drain shard `index`'s queue into its engine, rearm-safe.
-  void pump(std::size_t index);
-  void schedule_pump(std::size_t index);
-  /// Freeze shard `index`'s engine and swap the published epoch pointer.
-  /// Caller must OWN the engine: either this is the shard's pump inside
-  /// its ownership window (before pump_scheduled drops), or the world is
-  /// settled (all lane mutexes held + pool idle, so no pump runs and
-  /// none can be scheduled). No-ops when the engine generation has not
-  /// moved since the last publish.
-  void publish_epoch(std::size_t index);
-
   Lane& lane(std::size_t index) MLP_EXCLUDES(feeds_mutex_);
   /// Ingest one chunk into the lane (framing, decode, extraction).
   void lane_feed(Lane& target, std::span<const std::uint8_t> chunk)
       MLP_REQUIRES(target.mutex);
   void drain_framer(Lane& target) MLP_REQUIRES(target.mutex);
-  void close_locked(Lane& target, std::size_t index)
-      MLP_REQUIRES(target.mutex);
+  void close_locked(Lane& target) MLP_REQUIRES(target.mutex);
   /// Push the lane's stream clock to every shard queue as its merge
   /// watermark (Watermark policy only).
   void publish_watermark(Lane& target) MLP_REQUIRES(target.mutex);
-  /// Watermark + idle_feed_grace_ms only: park/readmit feeds by wall-
-  /// clock staleness.
-  void refresh_idle() MLP_EXCLUDES(feeds_mutex_);
-  void refresh_idle_locked() MLP_REQUIRES(feeds_mutex_);
-  /// Stall watchdog sweep (supervision.stall_timeout_ms only): atomically
-  /// pre-checks every lane's last-activity stamp and quarantines stalled
-  /// ones, taking stale lanes' mutexes one at a time (never while a
-  /// caller holds one).
-  void supervise_stalls() MLP_EXCLUDES(feeds_mutex_);
-  void supervise_stalls_locked() MLP_REQUIRES(feeds_mutex_);
+  /// The wall-clock sweep over every lane's last-activity stamp: idle
+  /// parking (Watermark + idle_feed_grace_ms) parks/readmits feeds by
+  /// staleness; the stall watchdog (supervision.stall_timeout_ms)
+  /// quarantines stalled ones, taking stale lanes' mutexes one at a time
+  /// (never while a caller holds one). No lock when both are off.
+  bool parks_idle() const {
+    return config_.merge == MergePolicy::Watermark &&
+           config_.idle_feed_grace_ms != 0;
+  }
+  bool watches_stalls() const {
+    return config_.supervision.enabled &&
+           config_.supervision.stall_timeout_ms != 0;
+  }
+  void sweep() MLP_EXCLUDES(feeds_mutex_);
+  void sweep_locked() MLP_REQUIRES(feeds_mutex_);
   /// Feed the supervisor one record outcome and enact the verdict.
   void record_outcome(Lane& target, bool malformed)
       MLP_REQUIRES(target.mutex);
@@ -568,6 +512,10 @@ class LiveSession {
   void apply_supervision(Lane& target, FeedSupervisor::Action action,
                          FeedHealth before) MLP_REQUIRES(target.mutex);
   FeedStats lane_stats(Lane& target) const MLP_REQUIRES(target.mutex);
+  /// The stop-the-world settle: flush every open lane's partial batches,
+  /// publish its watermark, wait for the pool. Caller additionally holds
+  /// every lane mutex (LaneLockSet).
+  void settle_locked() MLP_REQUIRES(feeds_mutex_);
   /// Caller additionally holds every lane mutex (LaneLockSet).
   SessionTotals collect_totals_locked() MLP_REQUIRES(feeds_mutex_);
   /// Caller holds feeds_mutex_ and every lane mutex (LaneLockSet). Parse
@@ -587,10 +535,9 @@ class LiveSession {
   /// mutex (see Lane::mutex).
   util::Mutex feeds_mutex_;
   std::vector<std::unique_ptr<Lane>> feeds_ MLP_GUARDED_BY(feeds_mutex_);
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Declared after shards_ so its destructor (which joins the workers)
-  // runs first: no pump can outlive the shards it drains.
-  util::ThreadPool pool_;
+  /// One shard per IXP (source index == feed index), with the pool that
+  /// pumps them.
+  ShardSet shards_;
   std::atomic<bool> finished_{false};
 };
 

@@ -10,87 +10,61 @@
 namespace mlp::pipeline {
 
 ObservationQueue::ObservationQueue(std::size_t n_sources, MergePolicy policy)
-    : policy_(policy), sources_(n_sources), open_count_(n_sources) {}
+    : policy_(policy), sources_(n_sources) {}
 
-std::size_t ObservationQueue::add_source() {
+void ObservationQueue::add_source() {
   util::MutexLock lock(mutex_);
   sources_.emplace_back();
-  ++open_count_;
-  return sources_.size() - 1;
 }
 
 void ObservationQueue::push(std::size_t source,
                             std::vector<core::Observation> batch) {
   if (batch.empty()) return;
-  {
-    util::MutexLock lock(mutex_);
-    if (source >= sources_.size())
-      throw InvalidArgument("observation queue: bad source index");
-    if (policy_ == MergePolicy::Watermark) {
-      auto& pending = sources_[source].pending;
-      pending.insert(pending.end(),
-                     std::make_move_iterator(batch.begin()),
-                     std::make_move_iterator(batch.end()));
-    } else {
-      sources_[source].batches.push_back(std::move(batch));
-      if (source != cursor_) return;  // consumer is not waiting on this
-    }
+  util::MutexLock lock(mutex_);
+  if (source >= sources_.size())
+    throw InvalidArgument("observation queue: bad source index");
+  if (policy_ == MergePolicy::Watermark) {
+    auto& pending = sources_[source].pending;
+    pending.insert(pending.end(), std::make_move_iterator(batch.begin()),
+                   std::make_move_iterator(batch.end()));
+  } else {
+    sources_[source].batches.push_back(std::move(batch));
   }
-  ready_.notify_one();
 }
 
 void ObservationQueue::set_watermark(std::size_t source,
                                      std::uint32_t watermark) {
   if (policy_ != MergePolicy::Watermark) return;
-  {
-    util::MutexLock lock(mutex_);
-    if (source >= sources_.size())
-      throw InvalidArgument("observation queue: bad source index");
-    Source& entry = sources_[source];
-    if (watermark <= entry.watermark) return;  // monotone
-    entry.watermark = watermark;
-  }
-  ready_.notify_one();
+  util::MutexLock lock(mutex_);
+  if (source >= sources_.size())
+    throw InvalidArgument("observation queue: bad source index");
+  Source& entry = sources_[source];
+  if (watermark > entry.watermark) entry.watermark = watermark;  // monotone
 }
 
 void ObservationQueue::set_idle(std::size_t source, bool idle) {
   if (policy_ != MergePolicy::Watermark) return;
-  {
-    util::MutexLock lock(mutex_);
-    if (source >= sources_.size())
-      throw InvalidArgument("observation queue: bad source index");
-    sources_[source].idle = idle;
-  }
-  ready_.notify_one();
+  util::MutexLock lock(mutex_);
+  if (source >= sources_.size())
+    throw InvalidArgument("observation queue: bad source index");
+  sources_[source].idle = idle;
 }
 
 void ObservationQueue::close(std::size_t source) {
-  {
-    util::MutexLock lock(mutex_);
-    if (source >= sources_.size())
-      throw InvalidArgument("observation queue: bad source index");
-    if (!sources_[source].closed) {
-      sources_[source].closed = true;
-      --open_count_;
-    }
-  }
-  ready_.notify_one();
+  util::MutexLock lock(mutex_);
+  if (source >= sources_.size())
+    throw InvalidArgument("observation queue: bad source index");
+  sources_[source].closed = true;
 }
 
 void ObservationQueue::reopen(std::size_t source) {
-  {
-    util::MutexLock lock(mutex_);
-    if (policy_ != MergePolicy::Watermark)
-      throw InvalidArgument(
-          "observation queue: reopen() requires the Watermark policy");
-    if (source >= sources_.size())
-      throw InvalidArgument("observation queue: bad source index");
-    if (sources_[source].closed) {
-      sources_[source].closed = false;
-      ++open_count_;
-    }
-  }
-  ready_.notify_one();
+  util::MutexLock lock(mutex_);
+  if (policy_ != MergePolicy::Watermark)
+    throw InvalidArgument(
+        "observation queue: reopen() requires the Watermark policy");
+  if (source >= sources_.size())
+    throw InvalidArgument("observation queue: bad source index");
+  sources_[source].closed = false;
 }
 
 std::uint32_t ObservationQueue::min_watermark_locked() const {
@@ -106,74 +80,57 @@ std::uint32_t ObservationQueue::min_watermark_locked() const {
   return constrained ? min : std::numeric_limits<std::uint32_t>::max();
 }
 
-bool ObservationQueue::merge_pop_locked(std::vector<core::Observation>& out) {
+std::size_t ObservationQueue::next_source_locked() {
+  const std::size_t none = sources_.size();
+  if (policy_ == MergePolicy::Concatenate) {
+    // The in-order head: step the cursor over closed, drained sources.
+    for (; cursor_ < none; ++cursor_) {
+      if (!sources_[cursor_].batches.empty()) return cursor_;
+      if (!sources_[cursor_].closed) break;
+    }
+    return none;
+  }
   // Eligible: strictly below the min watermark (a source may still emit
   // AT its own watermark, so ties with the watermark must wait) -- except
   // when nothing constrains, where the sentinel admits everything.
   const std::uint32_t min = min_watermark_locked();
   const bool drain_all = min == std::numeric_limits<std::uint32_t>::max();
-  out.clear();
-  for (;;) {
-    std::size_t best = sources_.size();
-    std::uint32_t best_ts = 0;
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      const auto& pending = sources_[i].pending;
-      if (pending.empty()) continue;
-      const std::uint32_t ts = pending.front().timestamp;
-      if (!drain_all && ts >= min) continue;
-      if (best == sources_.size() || ts < best_ts) {
-        best = i;  // equal timestamps: lowest source index wins
-        best_ts = ts;
-      }
+  std::size_t best = none;
+  std::uint32_t best_ts = 0;
+  for (std::size_t i = 0; i < none; ++i) {
+    const auto& pending = sources_[i].pending;
+    if (pending.empty()) continue;
+    const std::uint32_t ts = pending.front().timestamp;
+    if (!drain_all && ts >= min) continue;
+    if (best == none || ts < best_ts) {
+      best = i;  // equal timestamps: lowest source index wins
+      best_ts = ts;
     }
-    if (best == sources_.size()) break;
-    auto& pending = sources_[best].pending;
-    out.push_back(std::move(pending.front()));
-    pending.pop_front();
   }
-  return !out.empty();
-}
-
-bool ObservationQueue::ordered_pop_locked(
-    std::vector<core::Observation>& out) {
-  while (cursor_ < sources_.size()) {
-    Source& source = sources_[cursor_];
-    if (!source.batches.empty()) {
-      out = std::move(source.batches.front());
-      source.batches.pop_front();
-      return true;
-    }
-    if (!source.closed) break;
-    ++cursor_;
-  }
-  return false;
+  return best;
 }
 
 bool ObservationQueue::try_pop(std::vector<core::Observation>& out) {
   util::MutexLock lock(mutex_);
-  if (policy_ == MergePolicy::Watermark) return merge_pop_locked(out);
-  return ordered_pop_locked(out);
+  out.clear();
+  // Concatenate hands out the head batch whole; Watermark gathers every
+  // eligible observation in merge order.
+  for (std::size_t next; (next = next_source_locked()) != sources_.size();) {
+    Source& source = sources_[next];
+    if (policy_ == MergePolicy::Concatenate) {
+      out = std::move(source.batches.front());
+      source.batches.pop_front();
+      return true;
+    }
+    out.push_back(std::move(source.pending.front()));
+    source.pending.pop_front();
+  }
+  return !out.empty();
 }
 
 bool ObservationQueue::has_ready() {
   util::MutexLock lock(mutex_);
-  if (policy_ == MergePolicy::Watermark) {
-    const std::uint32_t min = min_watermark_locked();
-    const bool drain_all =
-        min == std::numeric_limits<std::uint32_t>::max();
-    for (const Source& source : sources_) {
-      if (source.pending.empty()) continue;
-      if (drain_all || source.pending.front().timestamp < min) return true;
-    }
-    return false;
-  }
-  // Walk like try_pop (every source before a non-empty one must already
-  // be closed and drained) without advancing the cursor.
-  for (std::size_t i = cursor_; i < sources_.size(); ++i) {
-    if (!sources_[i].batches.empty()) return true;
-    if (!sources_[i].closed) return false;
-  }
-  return false;
+  return next_source_locked() != sources_.size();
 }
 
 std::uint32_t ObservationQueue::min_watermark() {
@@ -258,34 +215,13 @@ void ObservationQueue::restore_state(ByteReader& reader) {
   if (cursor > count)
     throw ParseError("checkpoint: queue cursor past the source count");
 
-  {
-    util::MutexLock lock(mutex_);
-    if (count != sources_.size())
-      throw ParseError("checkpoint: queue source count " +
-                       std::to_string(count) + " does not match the " +
-                       std::to_string(sources_.size()) +
-                       " registered feeds");
-    sources_ = std::move(sources);
-    cursor_ = cursor;
-    open_count_ = 0;
-    for (const Source& source : sources_)
-      if (!source.closed) ++open_count_;
-  }
-  ready_.notify_all();
-}
-
-bool ObservationQueue::pop(std::vector<core::Observation>& out) {
   util::MutexLock lock(mutex_);
-  for (;;) {
-    if (policy_ == MergePolicy::Watermark) {
-      if (merge_pop_locked(out)) return true;
-      if (open_count_ == 0) return false;  // closed and fully drained
-    } else {
-      if (ordered_pop_locked(out)) return true;
-      if (cursor_ == sources_.size()) return false;
-    }
-    ready_.wait(mutex_);
-  }
+  if (count != sources_.size())
+    throw ParseError("checkpoint: queue source count " +
+                     std::to_string(count) + " does not match the " +
+                     std::to_string(sources_.size()) + " registered feeds");
+  sources_ = std::move(sources);
+  cursor_ = cursor;
 }
 
 }  // namespace mlp::pipeline

@@ -2,8 +2,8 @@
 //
 // Observation order matters to the engine (a re-announcement replaces the
 // per-prefix policy), so concurrent producers cannot simply interleave.
-// Each producer owns a source index, and the consumer drains under one of
-// two deterministic policies:
+// Each producer owns a source index, and the consumer (a ShardSet pump)
+// polls with try_pop under one of two deterministic policies:
 //
 //   Concatenate (default): strict source order -- source k+1 is served
 //   only after source k closed and drained. The archive pipeline's merge:
@@ -56,10 +56,10 @@ class ObservationQueue {
   explicit ObservationQueue(std::size_t n_sources,
                             MergePolicy policy = MergePolicy::Concatenate);
 
-  /// Register one more producer; returns its source index (registration
-  /// order). Safe while consumers poll with try_pop/has_ready -- the new
-  /// source simply extends the merge.
-  std::size_t add_source();
+  /// Register one more producer; its source index is the registration
+  /// order. Safe while the consumer polls with try_pop/has_ready -- the
+  /// new source simply extends the merge.
+  void add_source();
 
   /// Append one batch from `source`. Empty batches are dropped. Under
   /// Watermark, observation timestamps must be non-decreasing per source
@@ -90,14 +90,10 @@ class ObservationQueue {
   /// source, and a position in a concatenation cannot be re-occupied.
   void reopen(std::size_t source);
 
-  /// Blocking pop of the next ready batch. Returns false once every
-  /// source is closed and drained.
-  [[nodiscard]] bool pop(std::vector<core::Observation>& out);
-
-  /// Non-blocking pop: false when nothing is ready right now (in-order
-  /// source empty / everything above the watermark), whether or not more
-  /// input may still arrive. Live consumers poll with this instead of
-  /// parking in pop() on a queue that only closes at end of session.
+  /// Pop the next ready batch: false when nothing is ready right now
+  /// (in-order source empty / everything above the watermark), whether or
+  /// not more input may still arrive. Never blocks: the producer that
+  /// makes a batch ready schedules the consumer again.
   [[nodiscard]] bool try_pop(std::vector<core::Observation>& out);
 
   /// True when try_pop would return a batch.
@@ -128,8 +124,7 @@ class ObservationQueue {
   /// image. The image's source count must equal the queue's current
   /// source count (the session re-registers its feeds before restoring);
   /// parses and validates the whole image before committing, so a
-  /// ParseError leaves the queue untouched. open_count_ is recomputed
-  /// from the restored closed flags.
+  /// ParseError leaves the queue untouched.
   void restore_state(ByteReader& reader);
 
  private:
@@ -146,21 +141,16 @@ class ObservationQueue {
   /// Minimum watermark over open, non-idle sources; UINT32_MAX sentinel
   /// (drain everything) when no source constrains.
   std::uint32_t min_watermark_locked() const MLP_REQUIRES(mutex_);
-  /// Fill `out` with the watermark-eligible merge front; false when none
-  /// is eligible.
-  bool merge_pop_locked(std::vector<core::Observation>& out)
-      MLP_REQUIRES(mutex_);
-  /// Concatenate-policy pop.
-  bool ordered_pop_locked(std::vector<core::Observation>& out)
-      MLP_REQUIRES(mutex_);
+  /// The source whose front is next in merge order, or sources_.size()
+  /// when nothing is drainable. Concatenate: advances the cursor over
+  /// closed, drained sources.
+  std::size_t next_source_locked() MLP_REQUIRES(mutex_);
 
   util::Mutex mutex_;
-  util::CondVar ready_;
   const MergePolicy policy_;  // immutable after construction: lock-free
   std::vector<Source> sources_ MLP_GUARDED_BY(mutex_);
   /// Concatenate: first source not yet drained.
   std::size_t cursor_ MLP_GUARDED_BY(mutex_) = 0;
-  std::size_t open_count_ MLP_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace mlp::pipeline

@@ -1,13 +1,10 @@
 #include "pipeline/pipeline.hpp"
 
-#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
-#include "pipeline/observation_queue.hpp"
-#include "util/annotations.hpp"
 #include "util/errors.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlp::pipeline {
 
@@ -16,14 +13,18 @@ InferencePipeline::InferencePipeline(PipelineConfig config)
   if (config_.batch_size == 0) config_.batch_size = 1;
 }
 
+std::size_t InferencePipeline::find_ixp(const std::string& name) const {
+  for (std::size_t i = 0; i < ixps_.size(); ++i)
+    if (ixps_[i].context.name == name) return i;
+  return ixps_.size();
+}
+
 std::size_t InferencePipeline::add_ixp(core::IxpContext context,
                                        lg::LookingGlassServer* lg) {
-  if (ixp_index_.count(context.name))
+  if (find_ixp(context.name) != ixps_.size())
     throw InvalidArgument("pipeline: duplicate IXP " + context.name);
-  const std::size_t index = ixps_.size();
-  ixp_index_.emplace(context.name, index);
   ixps_.push_back(IxpSlot{std::move(context), lg});
-  return index;
+  return ixps_.size() - 1;
 }
 
 void InferencePipeline::add_table_dump(std::vector<std::uint8_t> archive) {
@@ -33,10 +34,11 @@ void InferencePipeline::add_table_dump(std::vector<std::uint8_t> archive) {
 
 void InferencePipeline::add_table_dump(
     std::shared_ptr<const std::vector<std::uint8_t>> archive) {
-  Feed feed;
-  feed.kind = FeedKind::TableDump;
-  feed.archive = std::move(archive);
-  feeds_.push_back(std::move(feed));
+  sources_.push_back([archive = std::move(archive)](
+                         core::PassiveExtractor& extractor, ShardSet&,
+                         std::size_t) {
+    extractor.consume_table_dump(*archive);
+  });
 }
 
 void InferencePipeline::add_update_stream(std::vector<std::uint8_t> archive) {
@@ -46,30 +48,36 @@ void InferencePipeline::add_update_stream(std::vector<std::uint8_t> archive) {
 
 void InferencePipeline::add_update_stream(
     std::shared_ptr<const std::vector<std::uint8_t>> archive) {
-  Feed feed;
-  feed.kind = FeedKind::UpdateStream;
-  feed.archive = std::move(archive);
-  feeds_.push_back(std::move(feed));
+  sources_.push_back([archive = std::move(archive)](
+                         core::PassiveExtractor& extractor, ShardSet&,
+                         std::size_t) {
+    extractor.consume_update_stream(*archive);
+  });
 }
 
 void InferencePipeline::add_paths(std::vector<RawPath> paths) {
-  Feed feed;
-  feed.kind = FeedKind::Paths;
-  feed.paths = std::move(paths);
-  feeds_.push_back(std::move(feed));
+  sources_.push_back([paths = std::move(paths)](
+                         core::PassiveExtractor& extractor, ShardSet&,
+                         std::size_t) {
+    for (const RawPath& raw : paths)
+      extractor.consume_path(raw.path, raw.prefix, raw.communities,
+                             raw.source);
+  });
 }
 
 void InferencePipeline::add_observations(
     const std::string& ixp_name,
     std::vector<core::Observation> observations) {
-  auto it = ixp_index_.find(ixp_name);
-  if (it == ixp_index_.end())
+  const std::size_t target = find_ixp(ixp_name);
+  if (target == ixps_.size())
     throw InvalidArgument("pipeline: unknown IXP " + ixp_name);
-  Feed feed;
-  feed.kind = FeedKind::Preattributed;
-  feed.target_ixp = it->second;
-  feed.observations = std::move(observations);
-  feeds_.push_back(std::move(feed));
+  // Already attributed: one batch, drained in the same order as any split
+  // of it would be.
+  sources_.push_back([target, batch = std::move(observations)](
+                         core::PassiveExtractor&, ShardSet& shards,
+                         std::size_t source) mutable {
+    shards.push(source, target, std::move(batch));
+  });
 }
 
 void InferencePipeline::set_relationships(bgp::RelFn relationships) {
@@ -80,196 +88,69 @@ void InferencePipeline::set_irr(const irr::IrrDatabase* database) {
   irr_ = database;
 }
 
-void fill_ixp_result(IxpResult& slot,
-                     const core::MlpInferenceEngine& engine,
-                     bool assume_open_for_unobserved) {
-  slot.links = engine.infer_links(assume_open_for_unobserved);
-  slot.stats = engine.stats(slot.links.size());
-  slot.observed_members = core::FlatAsnSet(engine.observed_members());
-  slot.rejected_observations = engine.rejected_observations();
-}
-
-std::set<AsLink> merge_links(const std::vector<IxpResult>& per_ixp) {
-  std::vector<AsLink> merged;
-  for (const IxpResult& slot : per_ixp)
-    merged.insert(merged.end(), slot.links.begin(), slot.links.end());
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  std::set<AsLink> out;
-  for (const AsLink& link : merged) out.insert(out.end(), link);
-  return out;
-}
-
-namespace {
-
-/// Split `observations` into batches of `batch_size` pushed under `source`.
-void push_batched(ObservationQueue& queue, std::size_t source,
-                  std::vector<core::Observation> observations,
-                  std::size_t batch_size) {
-  if (observations.empty()) return;
-  if (observations.size() <= batch_size) {
-    queue.push(source, std::move(observations));
-    return;
-  }
-  std::vector<core::Observation> batch;
-  batch.reserve(batch_size);
-  for (auto& observation : observations) {
-    batch.push_back(std::move(observation));
-    if (batch.size() == batch_size) {
-      queue.push(source, std::move(batch));
-      batch.clear();
-      batch.reserve(batch_size);
-    }
-  }
-  // An exact multiple of batch_size leaves nothing behind; don't push a
-  // trailing empty batch.
-  if (!batch.empty()) queue.push(source, std::move(batch));
-}
-
-/// First-error-wins collector shared by every task.
-struct ErrorSlot {
-  util::Mutex mutex;
-  std::string message MLP_GUARDED_BY(mutex);
-
-  void record(const std::string& message_in) MLP_EXCLUDES(mutex) {
-    util::MutexLock lock(mutex);
-    if (message.empty()) message = message_in;
-  }
-
-  /// The first recorded message (empty when none). Callable after
-  /// wait_idle(), but locks anyway: cheap, and keeps the guard honest.
-  std::string take() MLP_EXCLUDES(mutex) {
-    util::MutexLock lock(mutex);
-    return message;
-  }
-};
-
-}  // namespace
-
 PipelineResult InferencePipeline::run() {
   if (ran_) throw InvalidArgument("pipeline: run() already executed");
   ran_ = true;
 
-  const std::size_t n_ixps = ixps_.size();
-  const std::size_t n_sources = feeds_.size();
+  auto contexts = std::make_shared<std::vector<core::IxpContext>>();
+  contexts->reserve(ixps_.size());
+  for (const IxpSlot& slot : ixps_) contexts->push_back(slot.context);
+  // Nothing reads epochs while an archive run drains, so the pumps
+  // publish only when a drain run settles (cadence 0).
+  ShardSet shards(contexts, MergePolicy::Concatenate,
+                  config_.threads, /*publish_every_batches=*/0,
+                  config_.assume_open_for_unobserved);
 
-  PipelineResult result;
-  result.per_ixp.resize(n_ixps);
-  if (config_.keep_engines) {
-    result.engines.reserve(n_ixps);
-    for (const IxpSlot& slot : ixps_)
-      result.engines.emplace_back(slot.context);
-  }
-
-  std::vector<std::unique_ptr<ObservationQueue>> queues;
-  queues.reserve(n_ixps);
-  for (std::size_t i = 0; i < n_ixps; ++i)
-    queues.push_back(std::make_unique<ObservationQueue>(n_sources));
-
+  // One extraction task per source. Each pushes under its own source
+  // index and closes it at end of input; the pumps drain every source in
+  // index order under Concatenate.
+  const std::size_t n_sources = sources_.size();
   std::vector<core::PassiveStats> source_stats(n_sources);
-  ErrorSlot error;
-
-  // One immutable context set shared by every extraction task.
-  auto contexts = [this] {
-    std::vector<core::IxpContext> out;
-    out.reserve(ixps_.size());
-    for (const IxpSlot& slot : ixps_) out.push_back(slot.context);
-    return std::make_shared<const std::vector<core::IxpContext>>(
-        std::move(out));
-  }();
-
-  util::ThreadPool pool(util::ThreadPool::resolve(config_.threads));
-
-  // Producers first (FIFO pool => they are never starved by a waiting
-  // consumer). Each owns source index `s` in every IXP queue and closes it
-  // unconditionally, even on a decode error, so consumers always finish.
-  // Extraction runs in streaming mode: the sink pushes each full batch
-  // into its IXP's queue mid-decode (the extractor's dense IXP index is
-  // the add_ixp registration order, i.e. the queue index), so inference
-  // starts while the archive is still being decoded and no task holds
-  // more than O(batch x IXPs) observations.
   for (std::size_t s = 0; s < n_sources; ++s) {
-    pool.submit([this, s, contexts, &queues, &source_stats, &error] {
-      Feed& feed = feeds_[s];
+    shards.add_source();  // source index s
+    shards.submit([this, s, &contexts, &shards, &source_stats] {
       try {
-        if (feed.kind == FeedKind::Preattributed) {
-          push_batched(*queues[feed.target_ixp], s,
-                       std::move(feed.observations), config_.batch_size);
-        } else {
-          core::PassiveExtractor extractor(contexts, relationships_,
-                                           config_.passive);
-          extractor.set_sink(
-              [&queues, s](std::size_t ixp,
-                           std::vector<core::Observation>&& batch) {
-                queues[ixp]->push(s, std::move(batch));
-              },
-              config_.batch_size);
-          switch (feed.kind) {
-            case FeedKind::TableDump:
-              extractor.consume_table_dump(*feed.archive);
-              break;
-            case FeedKind::UpdateStream:
-              extractor.consume_update_stream(*feed.archive);
-              break;
-            case FeedKind::Paths:
-              for (const RawPath& raw : feed.paths)
-                extractor.consume_path(raw.path, raw.prefix, raw.communities,
-                                       raw.source);
-              break;
-            case FeedKind::Preattributed:
-              break;  // handled above
-          }
-          extractor.finish();
-          source_stats[s] = extractor.stats();
-        }
+        // Streaming mode: the sink pushes each full batch into its IXP's
+        // shard mid-decode (the extractor's dense IXP index is the
+        // add_ixp order, i.e. the shard index), so inference starts while
+        // the archive is still being decoded and no task holds more than
+        // O(batch x IXPs) observations.
+        core::PassiveExtractor extractor(contexts, relationships_,
+                                         config_.passive);
+        extractor.set_sink(
+            [&shards, s](std::size_t ixp,
+                         std::vector<core::Observation>&& batch) {
+              shards.push(s, ixp, std::move(batch));
+            },
+            config_.batch_size);
+        sources_[s](extractor, shards, s);
+        extractor.finish();
+        source_stats[s] = extractor.stats();
       } catch (const std::exception& e) {
-        error.record("source " + std::to_string(s) + ": " + e.what());
+        throw ParseError("pipeline: source " + std::to_string(s) + ": " +
+                         e.what());
       }
-      for (auto& queue : queues) queue->close(s);
+      shards.close(s);
     });
   }
+  shards.wait_idle();
 
-  // Consumers: one per IXP. Drain the ordered queue into the engine,
-  // then survey the LG for members passive data did not cover
-  // (equation 2), then infer links.
-  for (std::size_t i = 0; i < n_ixps; ++i) {
-    pool.submit([this, i, &queues, &result, &error] {
-      try {
-        // Without keep_engines the engine is task-local: it is built,
-        // consumed and destroyed here, keeping its (large) teardown off
-        // the caller's thread and out of the result.
-        std::optional<core::MlpInferenceEngine> local;
-        core::MlpInferenceEngine& engine =
-            config_.keep_engines ? result.engines[i]
-                                 : local.emplace(ixps_[i].context);
-        std::set<Asn> covered;
-        std::vector<core::Observation> batch;
-        while (queues[i]->pop(batch)) {
-          for (const core::Observation& observation : batch) {
-            covered.insert(observation.setter);
-            engine.add(observation);
-          }
-        }
-        IxpResult& slot = result.per_ixp[i];
-        slot.name = ixps_[i].context.name;
-        if (ixps_[i].lg != nullptr) {
-          const auto survey =
-              core::run_active_survey(*ixps_[i].lg, config_.active, covered);
-          slot.active_queries = survey.queries;
-          for (const core::Observation& observation : survey.observations)
-            engine.add(observation);
-        }
-        fill_ixp_result(slot, engine, config_.assume_open_for_unobserved);
-      } catch (const std::exception& e) {
-        error.record("ixp " + std::to_string(i) + ": " + e.what());
-      }
-    });
-  }
-
-  pool.wait_idle();
-  if (const std::string first_error = error.take(); !first_error.empty())
-    throw ParseError("pipeline: " + first_error);
-
+  // Post-drain, per settled shard: survey the LG for the members that
+  // passive data did not cover (equation 2), then read the result.
+  PipelineResult result;
+  result.per_ixp = shards.results([this](std::size_t i,
+                                         core::MlpInferenceEngine& engine,
+                                         IxpResult& slot) {
+    if (ixps_[i].lg == nullptr) return;
+    const auto survey =
+        core::run_active_survey(*ixps_[i].lg, config_.active,
+                                core::FlatAsnSet(engine.observed_members()));
+    slot.active_queries = survey.queries;
+    for (const core::Observation& observation : survey.observations)
+      engine.add(observation);
+  });
+  for (const auto& shard : shards)
+    result.engines.push_back(std::move(shard->engine));
   for (const core::PassiveStats& stats : source_stats)
     result.passive += stats;
   for (const IxpResult& slot : result.per_ixp) {
@@ -284,7 +165,7 @@ PipelineResult InferencePipeline::run() {
     // per IXP.
     std::vector<Asn> member_pool;
     std::vector<Asn> peer_pool;
-    for (std::size_t i = 0; i < n_ixps; ++i) {
+    for (std::size_t i = 0; i < ixps_.size(); ++i) {
       const auto& observed = result.per_ixp[i].observed_members;
       member_pool.insert(member_pool.end(), observed.begin(),
                          observed.end());

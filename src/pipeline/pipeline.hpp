@@ -1,32 +1,25 @@
-// Parallel multi-IXP inference pipeline.
-//
-// The paper's method runs the same passive-extraction -> per-RS
-// policy-intersection -> reciprocity chain independently per IXP, an
-// embarrassingly parallel shape this orchestrator exploits:
+// Parallel multi-IXP inference pipeline over archives.
 //
 //   MRT archives / raw paths / pre-attributed observations   (sources)
 //        |  one streaming PassiveExtractor task per source, in parallel;
-//        |  batches are pushed mid-decode (mrt::MrtCursor + sink mode),
-//        |  so decode overlaps inference and no task ever materializes a
-//        |  whole archive
+//        |  batches are pushed mid-decode, so no task ever materializes
+//        |  a whole archive
 //        v
-//   per-IXP ObservationQueue (ordered by source index: deterministic)
-//        |  one consumer task per IXP, in parallel
+//   ShardSet (shard_set.hpp) under Concatenate: per-IXP queues drained in
+//        |  source-index order into one engine per IXP
+//        v  after the drain settles, per IXP in parallel
+//   active LG survey for uncovered members -> final epoch -> IxpResult
 //        v
-//   MlpInferenceEngine::add -> active LG survey for uncovered members
-//        -> infer_links
-//        |
-//        v
-//   join: global link set, merged PassiveStats/EngineStats, optional
-//   IRR reciprocity validation pass
+//   join: global link set, merged stats, optional IRR reciprocity pass
 //
-// The link sets are byte-identical for any thread count: sources merge in
-// submission order and each IXP's engine consumes them in that order.
+// The link sets are byte-identical for any thread count and batch size,
+// and equal a LiveSession's under MergePolicy::Concatenate over the same
+// per-source bytes: both drain through one ShardSet.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -39,6 +32,7 @@
 #include "core/reciprocity.hpp"
 #include "core/types.hpp"
 #include "lg/lg_server.hpp"
+#include "pipeline/shard_set.hpp"
 
 namespace mlp::pipeline {
 
@@ -54,11 +48,6 @@ struct PipelineConfig {
   core::ActiveConfig active;
   /// Forwarded to MlpInferenceEngine::infer_links.
   bool assume_open_for_unobserved = false;
-  /// Keep the per-IXP engines in PipelineResult::engines for downstream
-  /// policy queries. Stats-and-links-only callers (the CLI, benchmarks)
-  /// can turn this off: each engine then lives and dies inside its
-  /// consumer task and the result carries no engine state.
-  bool keep_engines = true;
 };
 
 /// One decoded path observation (the third-party-LG feed).
@@ -69,34 +58,10 @@ struct RawPath {
   core::Source source = core::Source::ThirdPartyLg;
 };
 
-/// Per-IXP outcome, aligned with add_ixp order.
-struct IxpResult {
-  std::string name;
-  core::EngineStats stats;
-  std::set<AsLink> links;
-  /// Members with at least one accepted observation (the engine's sorted
-  /// member index), available whether or not engines are kept.
-  core::FlatAsnSet observed_members;
-  std::size_t active_queries = 0;
-  std::size_t rejected_observations = 0;
-};
-
-/// Fill `slot` from a fully-fed engine: links, stats, observed members,
-/// rejects. Shared by the archive pipeline's consumer tasks and
-/// LiveSession::finish so the two products cannot drift.
-void fill_ixp_result(IxpResult& slot,
-                     const core::MlpInferenceEngine& engine,
-                     bool assume_open_for_unobserved);
-
-/// Union the per-IXP link sets through one sort+unique pass plus hinted
-/// tail inserts (cheaper than set-inserting every element).
-std::set<AsLink> merge_links(const std::vector<IxpResult>& per_ixp);
-
 struct PipelineResult {
   std::vector<IxpResult> per_ixp;
   /// The engines themselves (policy_of etc. for downstream reports),
-  /// aligned with per_ixp. Empty when PipelineConfig::keep_engines is
-  /// false.
+  /// aligned with per_ixp.
   std::vector<core::MlpInferenceEngine> engines;
   /// Union of links over every IXP.
   std::set<AsLink> all_links;
@@ -151,12 +116,9 @@ class InferencePipeline {
   /// validation pass over every observed member (non-owning).
   void set_irr(const irr::IrrDatabase* database);
 
-  const PipelineConfig& config() const { return config_; }
-  std::size_t ixp_count() const { return ixps_.size(); }
-
   /// Execute the pipeline. Consumes the queued inputs; callable once.
-  /// Throws mlp::ParseError if any source fails to decode (the other
-  /// sources still drain, so the pipeline never hangs).
+  /// Throws mlp::ParseError naming the source index if any source fails
+  /// to decode.
   PipelineResult run();
 
  private:
@@ -165,26 +127,18 @@ class InferencePipeline {
     lg::LookingGlassServer* lg = nullptr;
   };
 
-  enum class FeedKind : std::uint8_t {
-    TableDump,
-    UpdateStream,
-    Paths,
-    Preattributed,
-  };
+  /// One queued input, run once on the pool as source `source`: it feeds
+  /// `extractor` (whose sink pushes under `source`) or pushes
+  /// pre-attributed batches itself.
+  using Source = std::function<void(core::PassiveExtractor& extractor,
+                                    ShardSet& shards, std::size_t source)>;
 
-  struct Feed {
-    FeedKind kind = FeedKind::TableDump;
-    /// TableDump / UpdateStream bytes, shared so registration is zero-copy.
-    std::shared_ptr<const std::vector<std::uint8_t>> archive;
-    std::vector<RawPath> paths;              // Paths
-    std::size_t target_ixp = 0;              // Preattributed
-    std::vector<core::Observation> observations;  // Preattributed
-  };
+  /// Index of the registered IXP called `name`, or ixps_.size().
+  std::size_t find_ixp(const std::string& name) const;
 
   PipelineConfig config_;
   std::vector<IxpSlot> ixps_;
-  std::map<std::string, std::size_t> ixp_index_;
-  std::vector<Feed> feeds_;
+  std::vector<Source> sources_;
   bgp::RelFn relationships_;
   const irr::IrrDatabase* irr_ = nullptr;
   bool ran_ = false;

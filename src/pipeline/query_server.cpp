@@ -150,7 +150,7 @@ std::string QueryServer::respond(const std::string& line) const {
     // verb while still reporting how far the snapshot may trail the
     // feeds.
     const std::size_t index = session_.ixp_index(tokens[1]);
-    const std::uint32_t frontier = session_.merge_frontier(index);
+    const std::uint32_t frontier = session_.shards().merge_frontier(index);
     const core::EngineStats& stats = snap->stats();
     std::string out =
         "ok rs_members=" + std::to_string(stats.rs_members) +
@@ -164,7 +164,8 @@ std::string QueryServer::respond(const std::string& line) const {
     out += frontier == std::numeric_limits<std::uint32_t>::max()
                ? "none"
                : std::to_string(frontier);
-    out += " backlog=" + std::to_string(session_.merge_backlog(index));
+    out += " backlog=" +
+           std::to_string(session_.shards().merge_backlog(index));
     return out;
   }
   if (verb == "link") {

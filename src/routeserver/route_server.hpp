@@ -56,9 +56,6 @@ class RouteServer {
   bool is_member(Asn asn) const { return sessions_.count(asn) != 0; }
   std::vector<MemberSession> members() const;
   std::size_t member_count() const { return sessions_.size(); }
-  /// The connected members as a flat sorted set (the policy-intersection
-  /// universe, maintained by connect/disconnect).
-  const FlatAsnSet& member_set() const { return member_set_; }
 
   /// Set a member's import filter (who it accepts routes from). Defaults
   /// to accept-everyone. Only consulted if honour_import_filters is set.
@@ -96,6 +93,8 @@ class RouteServer {
   IxpCommunityScheme scheme_;
   Options options_;
   std::map<Asn, MemberSession> sessions_;
+  /// The connected members as a flat sorted set (the policy-intersection
+  /// universe, maintained by connect/disconnect).
   FlatAsnSet member_set_;
   std::map<Asn, ExportPolicy> import_filters_;
   bgp::Rib rib_;

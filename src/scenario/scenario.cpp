@@ -119,14 +119,6 @@ std::vector<IpPrefix> Scenario::prefixes_behind(Asn asn) const {
   return out;
 }
 
-registry::PeeringPolicy Scenario::true_policy(Asn asn) const {
-  auto it = true_policy_.find(asn);
-  if (it == true_policy_.end())
-    throw InvalidArgument("true_policy: AS" + std::to_string(asn) +
-                          " unknown");
-  return it->second;
-}
-
 std::vector<bgp::Community> Scenario::communities_for(
     Asn setter, std::size_t ixp_index) const {
   const IxpDeployment& ixp = ixps_.at(ixp_index);

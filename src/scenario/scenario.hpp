@@ -142,9 +142,6 @@ class Scenario {
   /// geographic diversity (most distant home regions first).
   std::vector<IpPrefix> prefixes_behind(Asn asn) const;
 
-  /// The true peering policy an AS acts on (may be undisclosed).
-  registry::PeeringPolicy true_policy(Asn asn) const;
-
   /// Communities `setter` attaches at `ixp` (ground truth wire view).
   std::vector<bgp::Community> communities_for(Asn setter,
                                               std::size_t ixp_index) const;

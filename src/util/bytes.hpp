@@ -27,7 +27,6 @@ class ByteWriter {
   /// back-patching length fields.
   std::size_t placeholder(std::size_t width);
   void patch_u16(std::size_t offset, std::uint16_t v);
-  void patch_u32(std::size_t offset, std::uint32_t v);
 
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const MLP_LIFETIMEBOUND {

@@ -7,10 +7,6 @@
 
 namespace mlp {
 
-void EmpiricalDistribution::add_many(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-}
-
 double EmpiricalDistribution::mean() const {
   if (samples_.empty()) throw InvalidArgument("mean of empty distribution");
   double sum = 0.0;

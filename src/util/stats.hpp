@@ -18,7 +18,6 @@ struct DistPoint {
 class EmpiricalDistribution {
  public:
   void add(double x) { samples_.push_back(x); }
-  void add_many(const std::vector<double>& xs);
 
   std::size_t count() const { return samples_.size(); }
   double mean() const;

@@ -1,12 +1,12 @@
-// A small fixed-size FIFO thread pool, shared by the inference pipeline
-// and the routing sweep.
+// A small fixed-size FIFO thread pool, shared by the inference shards
+// (pipeline::ShardSet) and the routing sweep.
 //
-// FIFO submission order is part of the contract: the pipeline enqueues all
-// extraction producers before the per-IXP consumers, so producers (which
-// never block) always run ahead of consumers that wait on their output,
-// and the pipeline cannot deadlock even with a single worker thread. The
-// routing sweep uses it too: trees start in origin order, so the tree the
-// visiting thread waits for is always the oldest one in flight.
+// No shard task ever blocks on another task: producers push and return,
+// and a pump drains what is ready and returns, so the shards need no
+// particular order. FIFO submission order is part of the contract for the
+// routing sweep: trees start in origin order, so the tree the visiting
+// thread waits for is always the oldest one in flight, and the sweep
+// cannot deadlock even with a single worker thread.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +40,6 @@ class ThreadPool {
   /// rethrows the first captured exception (later ones are dropped); the
   /// pool stays usable afterwards.
   void wait_idle() MLP_EXCLUDES(mutex_);
-
-  std::size_t thread_count() const { return workers_.size(); }
 
   /// The pool size to use for `requested` (0 means hardware concurrency).
   static std::size_t resolve(std::size_t requested);

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <map>
 #include <string>
-#include <thread>
 
 #include "core/passive.hpp"
 #include "pipeline/ixp_config.hpp"
@@ -46,7 +45,7 @@ TEST(ObservationQueue, DrainsSourcesInIndexOrder) {
 
   std::vector<core::Asn> setters;
   std::vector<core::Observation> batch;
-  while (queue.pop(batch))
+  while (queue.try_pop(batch))
     for (const auto& obs : batch) setters.push_back(obs.setter);
   ASSERT_EQ(setters.size(), 3u);
   EXPECT_EQ(setters[0], 1u);
@@ -54,27 +53,12 @@ TEST(ObservationQueue, DrainsSourcesInIndexOrder) {
   EXPECT_EQ(setters[2], 3u);
 }
 
-TEST(ObservationQueue, BlockingConsumerFinishesAfterClose) {
-  ObservationQueue queue(1);
-  std::vector<core::Asn> seen;
-  std::thread consumer([&] {
-    std::vector<core::Observation> batch;
-    while (queue.pop(batch))
-      for (const auto& obs : batch) seen.push_back(obs.setter);
-  });
-  queue.push(0, {make_obs(7, "10.0.0.0/16")});
-  queue.close(0);
-  consumer.join();
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], 7u);
-}
-
 TEST(ObservationQueue, EmptyBatchesDropped) {
   ObservationQueue queue(1);
   queue.push(0, {});
   queue.close(0);
   std::vector<core::Observation> batch;
-  EXPECT_FALSE(queue.pop(batch));
+  EXPECT_FALSE(queue.try_pop(batch));
 }
 
 // ------------------------------------------------------------ config
@@ -499,38 +483,6 @@ TEST(Pipeline, UpdateStreamIngestDeterministicAcrossConfigs) {
       for (std::size_t i = 0; i < base.per_ixp.size(); ++i)
         EXPECT_EQ(result.per_ixp[i].links, base.per_ixp[i].links);
     }
-  }
-}
-
-TEST(Pipeline, KeepEnginesOffMatchesDefault) {
-  // keep_engines=false must change only what the result carries, never
-  // what it contains.
-  scenario::Scenario sa(small_params());
-  scenario::Scenario sb(small_params());
-  auto run_with = [](scenario::Scenario& s, bool keep) {
-    PipelineConfig config;
-    config.threads = 2;
-    config.keep_engines = keep;
-    InferencePipeline pipe(config);
-    for (std::size_t i = 0; i < s.ixps().size(); ++i)
-      pipe.add_ixp(s.ixp_context(i));
-    for (auto& collector : s.collectors())
-      pipe.add_table_dump(collector.table_dump(1367366400));
-    return pipe.run();
-  };
-  const auto with = run_with(sa, true);
-  const auto without = run_with(sb, false);
-  EXPECT_EQ(with.engines.size(), with.per_ixp.size());
-  EXPECT_TRUE(without.engines.empty());
-  EXPECT_EQ(with.all_links, without.all_links);
-  ASSERT_EQ(with.per_ixp.size(), without.per_ixp.size());
-  for (std::size_t i = 0; i < with.per_ixp.size(); ++i) {
-    EXPECT_EQ(with.per_ixp[i].links, without.per_ixp[i].links);
-    EXPECT_EQ(with.per_ixp[i].observed_members,
-              without.per_ixp[i].observed_members);
-    // The kept engine agrees with the per-IXP observed-member product.
-    EXPECT_EQ(core::FlatAsnSet(with.engines[i].observed_members()),
-              with.per_ixp[i].observed_members);
   }
 }
 

@@ -912,51 +912,59 @@ TEST(LiveSession, MultiFeedMatchesArchivePipelineOnScenarioSplit) {
     at = bounds[r];
   }
 
-  pipeline::PipelineConfig pipe_config;
-  pipe_config.threads = 2;
-  pipeline::InferencePipeline pipe(pipe_config);
-  for (const auto& ixp : ixps) pipe.add_ixp(ixp);
-  for (const auto& stream : streams) {
-    auto copy = stream;
-    pipe.add_update_stream(std::move(copy));
-  }
-  const auto want = pipe.run();
+  // Three paths over the same per-feed bytes, each at 1 and 4 threads:
+  // the archive pipeline, a live Concatenate session (its result), and
+  // the session's final published epochs (the query path).
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    pipeline::PipelineConfig pipe_config;
+    pipe_config.threads = threads;
+    pipeline::InferencePipeline pipe(pipe_config);
+    for (const auto& ixp : ixps) pipe.add_ixp(ixp);
+    for (const auto& stream : streams) {
+      auto copy = stream;
+      pipe.add_update_stream(std::move(copy));
+    }
+    const auto want = pipe.run();
 
-  LiveConfig config;
-  // InferencePipeline drains archives in add order; only the pinned
-  // Concatenate policy reproduces that merge for shared keys.
-  config.merge = pipeline::MergePolicy::Concatenate;
-  config.threads = 4;
-  LiveSession session(config, ixps);
-  std::vector<pipeline::FeedHandle> handles;
-  for (std::size_t f = 0; f < kFeeds; ++f)
-    handles.push_back(session.add_feed());
-  std::mt19937 rng(5);
-  std::vector<std::size_t> offsets(kFeeds, 0);
-  std::vector<std::size_t> live;
-  for (std::size_t f = 0; f < kFeeds; ++f)
-    if (!streams[f].empty()) live.push_back(f);
-  while (!live.empty()) {
-    const std::size_t pick =
-        std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng);
-    const std::size_t f = live[pick];
-    const std::size_t n =
-        std::min<std::size_t>(1024 + 37, streams[f].size() - offsets[f]);
-    handles[f].feed(std::span<const std::uint8_t>(
-        streams[f].data() + offsets[f], n));
-    offsets[f] += n;
-    if (offsets[f] == streams[f].size())
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-  }
-  const LiveResult result = session.finish();
+    LiveConfig config;
+    // InferencePipeline drains archives in add order; only the pinned
+    // Concatenate policy reproduces that merge for shared keys.
+    config.merge = pipeline::MergePolicy::Concatenate;
+    config.threads = threads;
+    LiveSession session(config, ixps);
+    std::vector<pipeline::FeedHandle> handles;
+    for (std::size_t f = 0; f < kFeeds; ++f)
+      handles.push_back(session.add_feed());
+    std::mt19937 rng(5);
+    std::vector<std::size_t> offsets(kFeeds, 0);
+    std::vector<std::size_t> live;
+    for (std::size_t f = 0; f < kFeeds; ++f)
+      if (!streams[f].empty()) live.push_back(f);
+    while (!live.empty()) {
+      const std::size_t pick =
+          std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng);
+      const std::size_t f = live[pick];
+      const std::size_t n =
+          std::min<std::size_t>(1024 + 37, streams[f].size() - offsets[f]);
+      handles[f].feed(std::span<const std::uint8_t>(
+          streams[f].data() + offsets[f], n));
+      offsets[f] += n;
+      if (offsets[f] == streams[f].size())
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    const LiveResult result = session.finish();
 
-  ASSERT_EQ(result.per_ixp.size(), want.per_ixp.size());
-  for (std::size_t i = 0; i < want.per_ixp.size(); ++i)
-    EXPECT_EQ(result.per_ixp[i].links, want.per_ixp[i].links)
-        << "ixp " << i;
-  EXPECT_EQ(result.all_links, want.all_links);
-  EXPECT_EQ(result.passive.paths_seen, want.passive.paths_seen);
-  EXPECT_EQ(result.passive.observations, want.passive.observations);
+    ASSERT_EQ(result.per_ixp.size(), want.per_ixp.size());
+    for (std::size_t i = 0; i < want.per_ixp.size(); ++i) {
+      EXPECT_EQ(result.per_ixp[i].links, want.per_ixp[i].links)
+          << "ixp " << i << ", threads " << threads;
+      EXPECT_EQ(session.epoch_snapshot(i)->links(), want.per_ixp[i].links)
+          << "ixp " << i << ", threads " << threads;
+    }
+    EXPECT_EQ(result.all_links, want.all_links) << "threads " << threads;
+    EXPECT_EQ(result.passive.paths_seen, want.passive.paths_seen);
+    EXPECT_EQ(result.passive.observations, want.passive.observations);
+  }
 }
 
 // ------------------------------------------------------ watermark merge
@@ -1171,6 +1179,16 @@ TEST(LiveSession, DetachedFeedHandleThrows) {
   EXPECT_THROW(handle.drain(source), InvalidArgument);
 }
 
+TEST(LiveSession, DuplicateIxpNamesRejected) {
+  // Name-addressed readers (ixp_index, epoch_snapshot(name), the query
+  // server's verbs) resolve a name to ONE shard; a second IXP under the
+  // same name would be unreachable by name.
+  auto ixps = two_ixps();
+  ixps[1].name = ixps[0].name;
+  EXPECT_THROW(LiveSession(LiveConfig{}, ixps), InvalidArgument);
+  EXPECT_NO_THROW(LiveSession(LiveConfig{}, two_ixps()));
+}
+
 TEST(LiveSession, PeerDownEvictsPendingAnnouncements) {
   // BMP session semantics end-to-end: a PeerDown must tear down the
   // peer's standing announce-window entries (they settle through the
@@ -1262,14 +1280,14 @@ TEST(ObservationQueue, WatermarkGatesDrainByMinimumFrontier) {
   EXPECT_EQ(out[0].timestamp, 300u);
   queue.set_idle(1, false);
 
-  // Close both: the sentinel frontier drains the remainder, and pop()
+  // Close both: the sentinel frontier drains the remainder, and try_pop()
   // reports exhaustion.
   queue.push(1, {obs(400, "10.3.0.0/16")});
   queue.close(0);
   queue.close(1);
-  ASSERT_TRUE(queue.pop(out));
+  ASSERT_TRUE(queue.try_pop(out));
   EXPECT_EQ(out[0].timestamp, 400u);
-  EXPECT_FALSE(queue.pop(out));
+  EXPECT_FALSE(queue.try_pop(out));
 }
 
 TEST(ObservationQueue, WatermarkTiesBreakBySourceIndexThenFifo) {
@@ -1289,7 +1307,7 @@ TEST(ObservationQueue, WatermarkTiesBreakBySourceIndexThenFifo) {
     queue.close(source);
   std::vector<std::uint32_t> setters;
   std::vector<Observation> out;
-  while (queue.pop(out))
+  while (queue.try_pop(out))
     for (const auto& o : out) setters.push_back(o.setter);
   // 50 first; the 100s by source index, FIFO within source 2.
   const std::vector<std::uint32_t> want = {4, 3, 1, 2};

@@ -25,10 +25,11 @@ on the offending line or the line directly above):
                             must sit within a visible `bmp` lane-kind
                             check (same line or the 10 lines above).
   queue-push-own-source     A lane/producer may push only under its OWN
-                            source index (`source`, `s`, or `index`); a
-                            literal or foreign index would interleave two
-                            feeds' observations and break the
-                            deterministic merge.
+                            source index (`source`, `s`, or `index`), the
+                            first argument of ObservationQueue::push and
+                            of ShardSet::push; a literal or foreign index
+                            would interleave two feeds' observations and
+                            break the deterministic merge.
   no-naked-mutex            src/pipeline, src/stream, src/propagation (the
                             routing sweep) and the util thread pool must
                             use the annotated util::Mutex/MutexLock/CondVar
@@ -67,7 +68,7 @@ PIPELINE_DIR = "src/pipeline"
 
 MATERIALIZING_RE = re.compile(r"\b(parse_rib|parse_updates|decode_all)\s*\(")
 MRT_RESYNC_RE = re.compile(r"\bframer\.resync\s*\(")
-QUEUE_PUSH_RE = re.compile(r"(?:\bqueue\.|queues?\[[^\]]+\]->|\.queue\.)push\s*\(\s*([A-Za-z_][A-Za-z0-9_.]*|\d+)\s*,")
+QUEUE_PUSH_RE = re.compile(r"(?:\bqueue\.|queues?\[[^\]]+\]->|\.queue\.|\bshards_?\.)push\s*\(\s*([A-Za-z_][A-Za-z0-9_.]*|\d+)\s*,")
 NAKED_MUTEX_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|shared_mutex|condition_variable(?:_any)?|"
     r"lock_guard|unique_lock|scoped_lock|shared_lock)\b")
@@ -241,6 +242,14 @@ SELF_TESTS = [
      "queue.push(0, std::move(batch));\n", True),
     ("queue-push-own-source", "src/pipeline/x.cpp",
      "shards_[ixp]->queue.push(index, std::move(batch));\n", False),
+    ("queue-push-own-source", "src/pipeline/x.cpp",
+     "shards_.push(index, ixp, std::move(batch));\n", False),
+    ("queue-push-own-source", "src/pipeline/x.cpp",
+     "shards.push(s, ixp, std::move(batch));\n", False),
+    ("queue-push-own-source", "src/pipeline/x.cpp",
+     "shards_.push(ixp, index, std::move(batch));\n", True),
+    ("queue-push-own-source", "src/pipeline/x.cpp",
+     "shards.push(0, ixp, std::move(batch));\n", True),
     ("no-naked-mutex", "src/stream/x.hpp",
      "std::mutex mu_;\n", True),
     ("no-naked-mutex", "src/stream/x.hpp",
