@@ -115,10 +115,8 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <pthread.h>
 #include <signal.h>
-#endif
 
 #include "mrt/cursor.hpp"
 #include "mrt/table_dump.hpp"
@@ -147,7 +145,6 @@ using namespace mlp;
 /// writes its final checkpoint and summary instead of dying mid-write.
 std::atomic<bool> g_stop{false};
 
-#ifndef _WIN32
 void handle_stop_signal(int) { g_stop.store(true); }
 
 void install_stop_handlers() {
@@ -166,10 +163,6 @@ void ignore_sigpipe() {
   sigemptyset(&action.sa_mask);
   ::sigaction(SIGPIPE, &action, nullptr);
 }
-#else
-void install_stop_handlers() {}
-void ignore_sigpipe() {}
-#endif
 
 /// Resume support: discard the first `skip` bytes of a re-dialed
 /// transport (the checkpoint already acknowledges them), then pass
@@ -843,7 +836,6 @@ int run_follow(int argc, char** argv, bool query_mode) {
     std::uint64_t last_snapshot_records = 0;
     while (live.load() > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-#ifndef _WIN32
       // A stop signal lands on ONE thread; readers parked in read() or
       // accept() need their own EINTR to notice the flag. Re-poke them
       // each tick until they unwind (idempotent: the handler only sets
@@ -851,7 +843,6 @@ int run_follow(int argc, char** argv, bool query_mode) {
       if (g_stop.load())
         for (auto& reader : readers)
           ::pthread_kill(reader.native_handle(), SIGTERM);
-#endif
       if (checkpoint_due()) take_checkpoint();
       if (snapshot_every == 0) continue;
       if (session.records() - last_snapshot_records < snapshot_every)

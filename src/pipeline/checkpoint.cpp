@@ -84,6 +84,29 @@ void sync_parent_dir(const std::string& path) {
   ::close(fd);
 }
 
+/// The generation fallback: decode PATH, then PATH.1, and return the
+/// first payload `accept` takes without throwing. `what` names the
+/// outcome in the error when neither does.
+template <typename Accept>
+LoadedCheckpoint first_generation(const std::string& path, const char* what,
+                                  const Accept& accept) {
+  std::string errors;
+  const std::array<std::string, 2> generations = {path, path + ".1"};
+  for (std::size_t g = 0; g < generations.size(); ++g) {
+    try {
+      std::vector<std::uint8_t> payload =
+          decode_checkpoint(read_file(generations[g]));
+      accept(payload);
+      return LoadedCheckpoint{std::move(payload), g == 1};
+    } catch (const std::exception& e) {
+      if (!errors.empty()) errors += "; ";
+      errors += generations[g] + ": " + e.what();
+    }
+  }
+  throw CheckpointError(std::string("checkpoint: no ") + what +
+                        " generation (" + errors + ")");
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data) {
@@ -156,19 +179,8 @@ void write_checkpoint_file(const std::string& path,
 }
 
 LoadedCheckpoint read_checkpoint_file(const std::string& path) {
-  std::string first_error;
-  try {
-    return LoadedCheckpoint{decode_checkpoint(read_file(path)), false};
-  } catch (const std::exception& e) {
-    first_error = e.what();
-  }
-  try {
-    return LoadedCheckpoint{decode_checkpoint(read_file(path + ".1")), true};
-  } catch (const std::exception& e) {
-    throw CheckpointError("checkpoint: no loadable generation (" +
-                          first_error + "; " + path + ".1: " + e.what() +
-                          ")");
-  }
+  return first_generation(path, "loadable",
+                          [](const std::vector<std::uint8_t>&) {});
 }
 
 void save_checkpoint(LiveSession& session, const std::string& path) {
@@ -183,21 +195,10 @@ LoadedCheckpoint restore_checkpoint(LiveSession& session,
   // Generation by generation: restore_state() is all-or-nothing, so a
   // newest-generation payload that fails to apply leaves the session
   // clean for the fallback attempt.
-  std::string errors;
-  const std::array<std::string, 2> generations = {path, path + ".1"};
-  for (std::size_t g = 0; g < generations.size(); ++g) {
-    try {
-      std::vector<std::uint8_t> payload =
-          decode_checkpoint(read_file(generations[g]));
-      session.restore_state(payload);
-      return LoadedCheckpoint{std::move(payload), g == 1};
-    } catch (const std::exception& e) {
-      if (!errors.empty()) errors += "; ";
-      errors += generations[g] + ": " + e.what();
-    }
-  }
-  throw CheckpointError("checkpoint: no restorable generation (" + errors +
-                        ")");
+  return first_generation(path, "restorable",
+                          [&](const std::vector<std::uint8_t>& payload) {
+                            session.restore_state(payload);
+                          });
 }
 
 }  // namespace mlp::pipeline

@@ -47,7 +47,10 @@ class CheckpointError : public std::runtime_error {
 
 /// Bump when the LiveSession payload layout changes; a loader rejects
 /// versions it does not speak instead of misparsing them.
-constexpr std::uint32_t kCheckpointVersion = 2;  // v2: per-shard epoch counter
+/// v2: per-shard epoch counter. v3: one observation FIFO per queue source
+/// (no batch list, no drain cursor); lane images written by component
+/// hooks.
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// CRC32C (Castagnoli polynomial, the iSCSI/ext4 checksum), software
 /// table implementation.

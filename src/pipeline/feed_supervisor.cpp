@@ -200,36 +200,33 @@ void FeedSupervisor::serialize_state(ByteWriter& writer) const {
 }
 
 void FeedSupervisor::restore_state(ByteReader& reader) {
-  // Parse the full image into locals first: a ParseError anywhere must
-  // leave the supervisor exactly as it was.
+  // Parse into a fresh supervisor and commit by assignment: a ParseError
+  // anywhere must leave this one exactly as it was.
+  FeedSupervisor image(config_);
   const std::uint8_t health = reader.u8();
   if (health > static_cast<std::uint8_t>(FeedHealth::Dead))
     throw ParseError("checkpoint: feed health " + std::to_string(health));
+  image.health_ = static_cast<FeedHealth>(health);
   const std::size_t window_count =
       core::codec::read_count(reader, 1, "supervisor window entry");
-  std::vector<std::uint8_t> window;
-  window.reserve(window_count);
-  std::size_t malformed = 0;
   for (std::size_t i = 0; i < window_count; ++i) {
     const std::uint8_t outcome = reader.u8();
     if (outcome > 1)
       throw ParseError("checkpoint: supervisor window outcome " +
                        std::to_string(outcome));
-    malformed += outcome;
-    window.push_back(outcome);
+    image.window_malformed_ += outcome;
+    image.window_.push_back(outcome);
   }
-  const std::uint64_t consecutive_dirty = reader.u64();
-  const std::uint64_t records_since_dirty = reader.u64();
-  const std::uint64_t probation_clean = reader.u64();
-  const std::uint64_t records_seen = reader.u64();
-  const std::uint64_t times_quarantined = reader.u64();
-  const std::uint64_t transition_count = reader.u64();
+  image.consecutive_dirty_ = reader.u64();
+  image.records_since_dirty_ = reader.u64();
+  image.probation_clean_ = reader.u64();
+  image.records_seen_ = reader.u64();
+  image.times_quarantined_ = reader.u64();
+  image.transition_count_ = reader.u64();
   const std::size_t recorded =
       core::codec::read_count(reader, 12, "supervisor transition");
-  if (recorded > kMaxRecordedTransitions || recorded > transition_count)
+  if (recorded > kMaxRecordedTransitions || recorded > image.transition_count_)
     throw ParseError("checkpoint: supervisor transition log too long");
-  std::vector<HealthTransition> transitions;
-  transitions.reserve(recorded);
   for (std::size_t i = 0; i < recorded; ++i) {
     HealthTransition transition;
     const std::uint8_t from = reader.u8();
@@ -241,31 +238,24 @@ void FeedSupervisor::restore_state(ByteReader& reader) {
     transition.to = static_cast<FeedHealth>(to);
     transition.at_record = reader.u64();
     transition.reason = core::codec::read_string(reader);
-    transitions.push_back(std::move(transition));
+    image.transitions_.push_back(std::move(transition));
   }
 
   // A resume under a smaller --malformed-window keeps only the newest
   // outcomes (resuming under the SAME config, the only case with replay
   // guarantees, keeps everything).
+  auto& window = image.window_;
   const std::size_t cap = std::max<std::size_t>(1, config_.malformed_window);
   if (window.size() > cap) {
     const std::size_t drop = window.size() - cap;
-    for (std::size_t i = 0; i < drop; ++i) malformed -= window[i];
+    for (std::size_t i = 0; i < drop; ++i) image.window_malformed_ -= window[i];
     window.erase(window.begin(),
                  window.begin() + static_cast<std::ptrdiff_t>(drop));
   }
-  health_ = static_cast<FeedHealth>(health);
-  window_ = std::move(window);
-  window_head_ = 0;
-  window_count_ = window_.size();
-  window_malformed_ = malformed;
-  consecutive_dirty_ = consecutive_dirty;
-  records_since_dirty_ = records_since_dirty;
-  probation_clean_ = probation_clean;
-  records_seen_ = records_seen;
-  times_quarantined_ = times_quarantined;
-  transition_count_ = transition_count;
-  transitions_ = std::move(transitions);
+  image.window_count_ = window.size();
+  // The activity stamp is not part of the image (the owner re-arms it).
+  image.last_activity_ms_ = last_activity_ms_;
+  *this = std::move(image);
 }
 
 }  // namespace mlp::pipeline

@@ -92,8 +92,8 @@ struct SupervisorConfig {
   std::uint64_t stall_timeout_ms = 0;
 
   /// Whether a Quarantined feed may return to Healthy. LiveSession forces
-  /// this false under MergePolicy::Concatenate, where the drain cursor
-  /// cannot rewind past a closed source: quarantine escalates to Dead.
+  /// this false under MergePolicy::Concatenate, where later feeds may
+  /// drain past a closed one: quarantine escalates to Dead.
   bool allow_readmission = true;
 };
 

@@ -102,9 +102,9 @@ LiveSession::LiveSession(LiveConfig config,
               config_.publish_every_batches,
               config_.assume_open_for_unobserved) {
   if (config_.batch_size == 0) config_.batch_size = 1;
-  // Concatenate's drain cursor advances past a closed-and-drained source
-  // and cannot rewind, so a quarantined feed could never merge again:
-  // escalate quarantine to Dead instead of pretending otherwise.
+  // Under Concatenate later feeds drain once an earlier one closes, and a
+  // concatenation position cannot be re-occupied, so a quarantined feed
+  // could never merge again: escalate quarantine to Dead instead.
   if (config_.merge == MergePolicy::Concatenate)
     config_.supervision.allow_readmission = false;
 }
@@ -117,8 +117,7 @@ FeedHandle LiveSession::add_feed(FeedOptions options) {
   // Queue source slots stay in lockstep with feed indices: every shard
   // grows exactly one source per add_feed, under the same lock.
   shards_.add_source();
-  auto lane = std::make_unique<Lane>(this, contexts_, relationships_,
-                                     config_.passive);
+  auto lane = std::make_unique<Lane>(this, index, options);
   // The sink runs under the lane mutex (extractor calls happen there) but
   // NOT under feeds_mutex_, and feeds_ may reallocate concurrently: hold
   // the lane by its stable address, never through feeds_[index].
@@ -129,15 +128,8 @@ FeedHandle LiveSession::add_feed(FeedOptions options) {
     // the analysis exact. feeds_mutex_ -> lane mutex is the documented
     // order.
     util::MutexLock init_lock(raw->mutex);
-    raw->name = options.name.empty() ? "feed" + std::to_string(index)
-                                     : options.name;
-    raw->index = index;
-    raw->framer = stream::MrtFramer(config_.framing);
-    if (options.transport == Transport::Bmp)
-      raw->bmp.emplace(options.bmp_framing);
     const std::uint64_t now = clock_->now_ms();
     raw->last_activity_ms.store(now, std::memory_order_relaxed);
-    raw->supervisor = FeedSupervisor(config_.supervision);
     raw->supervisor.note_activity(now);
     raw->extractor.set_sink(
         [this, index, raw](std::size_t ixp,
@@ -161,6 +153,75 @@ FeedHandle LiveSession::add_feed(FeedOptions options) {
   }
   feeds_.push_back(std::move(lane));
   return FeedHandle(this, index);
+}
+
+LiveSession::Lane::Lane(LiveSession* session, std::size_t lane_index,
+                        const FeedOptions& options)
+    : owner(session),
+      name(options.name.empty() ? "feed" + std::to_string(lane_index)
+                                : options.name),
+      index(lane_index),
+      bmp(options.transport == Transport::Bmp
+              ? std::make_optional<stream::BmpFramer>(options.bmp_framing)
+              : std::nullopt),
+      framer(session->config_.framing),
+      extractor(session->contexts_, session->relationships_,
+                session->config_.passive),
+      supervisor(session->config_.supervision) {}
+
+void LiveSession::Lane::serialize_state(ByteWriter& writer) const {
+  // A BMP lane's MRT framer is fed synthesized records one at a time and
+  // drained whole, so it can never straddle a record here.
+  if (bmp && framer.buffered() != 0)
+    throw InvalidArgument(
+        "live session: BMP lane buffered a partial synthesized record");
+  core::codec::write_string(writer, name);
+  writer.u8(bmp ? 1 : 0);
+  framer.serialize_state(writer);
+  if (bmp) bmp->serialize_state(writer);
+  decoder.serialize_state(writer);
+  writer.u8(static_cast<std::uint8_t>(
+      (closed ? 1 : 0) | (queues_closed ? 2 : 0) |
+      (idle.load(std::memory_order_relaxed) ? 4 : 0)));
+  writer.u32(watermark_published);
+  writer.u64(clean_disconnects);
+  writer.u64(dirty_disconnects);
+  writer.u64(partial_records_dropped);
+  writer.u64(bytes_discarded);
+  writer.u64(observations_discarded);
+  extractor.serialize_state(writer);
+  supervisor.serialize_state(writer);
+}
+
+void LiveSession::Lane::restore_state(ByteReader& reader) {
+  const std::string image_name = core::codec::read_string(reader);
+  const std::uint8_t transport = reader.u8();
+  if (transport > 1)
+    throw ParseError("checkpoint: feed transport byte " +
+                     std::to_string(transport));
+  const bool image_bmp = transport == 1;
+  if (image_name != name || image_bmp != bmp.has_value())
+    throw InvalidArgument("checkpoint: feed " + std::to_string(index) +
+                          " is \"" + image_name + "\" (" +
+                          (image_bmp ? "BMP" : "raw MRT") +
+                          ") in the image, \"" + name + "\" in the session");
+  framer.restore_state(reader);
+  if (bmp) bmp->restore_state(reader);
+  decoder.restore_state(reader);
+  const std::uint8_t flags = reader.u8();
+  if (flags > 7)
+    throw ParseError("checkpoint: feed flags " + std::to_string(flags));
+  closed = (flags & 1) != 0;
+  queues_closed = (flags & 2) != 0;
+  idle.store((flags & 4) != 0, std::memory_order_relaxed);
+  watermark_published = reader.u32();
+  clean_disconnects = reader.u64();
+  dirty_disconnects = reader.u64();
+  partial_records_dropped = reader.u64();
+  bytes_discarded = reader.u64();
+  observations_discarded = reader.u64();
+  extractor.restore_state(reader);
+  supervisor.restore_state(reader);
 }
 
 LiveSession::Lane& LiveSession::lane(std::size_t index) {
@@ -268,7 +329,7 @@ void LiveSession::apply_supervision(Lane& target,
       if (!target.queues_closed) {
         target.queues_closed = true;
         // The close sentinel: the lane stops constraining the frontier
-        // (Watermark) / the drain cursor steps over it (Concatenate), and
+        // (Watermark) / later feeds stop waiting for it (Concatenate), and
         // its already-queued observations become drainable.
         shards_.close(target.index);
       }
@@ -480,19 +541,9 @@ SessionTotals LiveSession::collect_totals_locked() {
     totals.passive += stats.passive;
     totals.health_transitions += stats.health_transitions;
     totals.observations_discarded += stats.observations_discarded;
-    switch (stats.health) {
-      case FeedHealth::Healthy:
-        break;
-      case FeedHealth::Degraded:
-        ++totals.feeds_degraded;
-        break;
-      case FeedHealth::Quarantined:
-        ++totals.feeds_quarantined;
-        break;
-      case FeedHealth::Dead:
-        ++totals.feeds_dead;
-        break;
-    }
+    totals.feeds_degraded += stats.health == FeedHealth::Degraded;
+    totals.feeds_quarantined += stats.health == FeedHealth::Quarantined;
+    totals.feeds_dead += stats.health == FeedHealth::Dead;
     // A quarantined/dead lane's queue sources are closed: it no longer
     // constrains the frontier, and the published total must say so.
     const bool merging = stats.health == FeedHealth::Healthy ||
@@ -589,57 +640,23 @@ std::vector<std::uint8_t> LiveSession::serialize_state() {
     core::codec::write_string(writer, context.name);
   writer.u32(static_cast<std::uint32_t>(feeds_.size()));
   for (auto& lane : feeds_) {
-    Lane& target = *lane;
-    target.mutex.assert_held();  // LaneLockSet holds every lane mutex
-    // A BMP lane's MRT framer is fed synthesized records one at a time
-    // and drained whole, so it can never straddle a record here.
-    if (target.bmp && target.framer.buffered() != 0)
-      throw InvalidArgument(
-          "live session: BMP lane buffered a partial synthesized record");
-    core::codec::write_string(writer, target.name);
-    writer.u8(target.bmp ? 1 : 0);
-    writer.u8(static_cast<std::uint8_t>(
-        (target.closed ? 1 : 0) | (target.queues_closed ? 2 : 0) |
-        (target.idle.load(std::memory_order_relaxed) ? 4 : 0)));
-    // The framer image at its acknowledged position: the buffered
-    // partial tail is deliberately NOT serialized -- the resumed
-    // transport re-delivers it from the acknowledged offset, which is
-    // what makes the record framing exactly-once.
-    writer.u64(target.framer.bytes_fed() - target.framer.buffered());
-    writer.u64(target.framer.records());
-    writer.u64(target.framer.last_record_offset());
-    writer.u8(target.framer.resyncing() ? 1 : 0);
-    if (target.bmp) {
-      writer.u64(target.bmp->bytes_fed() - target.bmp->buffered());
-      writer.u64(target.bmp->messages());
-      writer.u64(target.bmp->skipped());
-      writer.u64(target.bmp->peer_ups());
-      writer.u64(target.bmp->peer_downs());
-      writer.u64(target.bmp->last_message_offset());
-      writer.u8(target.bmp->resyncing() ? 1 : 0);
-    }
-    writer.u64(target.decoder.skipped());
-    writer.u32(target.watermark_published);
-    writer.u64(target.clean_disconnects);
-    writer.u64(target.dirty_disconnects);
-    writer.u64(target.partial_records_dropped);
-    writer.u64(target.bytes_discarded);
-    writer.u64(target.observations_discarded);
-    target.extractor.serialize_state(writer);
-    target.supervisor.serialize_state(writer);
+    lane->mutex.assert_held();  // LaneLockSet holds every lane mutex
+    lane->serialize_state(writer);
   }
   for (auto& shard : shards_) {
     shard->engine.serialize_state(writer);
     shard->queue.serialize_state(writer);
-    // The epoch counter rides along (kCheckpointVersion 2) so a resumed
-    // session keeps publishing ascending epochs instead of restarting at
-    // 1 and confusing readers that cache "newest epoch seen".
+    // The epoch counter rides along so a resumed session keeps publishing
+    // ascending epochs instead of restarting at 1 and confusing readers
+    // that cache "newest epoch seen".
     writer.u64(shard->epochs_published.load(std::memory_order_acquire));
   }
   return writer.take();
 }
 
-void LiveSession::apply_payload(ByteReader& reader, bool commit) {
+void LiveSession::read_image(ByteReader& reader,
+                             const std::vector<std::unique_ptr<Lane>>& lanes,
+                             ShardSet& shards) const {
   const std::uint8_t policy = reader.u8();
   if (policy > static_cast<std::uint8_t>(MergePolicy::Watermark))
     throw ParseError("checkpoint: merge policy byte " +
@@ -663,101 +680,22 @@ void LiveSession::apply_payload(ByteReader& reader, bool commit) {
   }
   const std::size_t feed_count =
       core::codec::read_count(reader, 64, "checkpoint feed");
-  if (feed_count != feeds_.size())
+  if (feed_count != lanes.size())
     throw InvalidArgument(
         "checkpoint: image has " + std::to_string(feed_count) +
-        " feeds, session has " + std::to_string(feeds_.size()) +
+        " feeds, session has " + std::to_string(lanes.size()) +
         " -- re-add the same feeds (same order) before restoring");
-  for (std::size_t i = 0; i < feed_count; ++i) {
-    Lane& real = *feeds_[i];
-    // restore_state holds every lane mutex via LaneLockSet.
-    real.mutex.assert_held();
-    const std::string name = core::codec::read_string(reader);
-    const std::uint8_t transport = reader.u8();
-    if (transport > 1)
-      throw ParseError("checkpoint: feed transport byte " +
-                       std::to_string(transport));
-    const bool bmp = transport == 1;
-    if (name != real.name || bmp != real.bmp.has_value())
-      throw InvalidArgument("checkpoint: feed " + std::to_string(i) +
-                            " is \"" + name + "\" (" +
-                            (bmp ? "BMP" : "raw MRT") +
-                            ") in the image, \"" + real.name +
-                            "\" in the session");
-    const std::uint8_t flags = reader.u8();
-    if (flags > 7)
-      throw ParseError("checkpoint: feed flags " + std::to_string(flags));
-    const std::uint64_t mrt_acked = reader.u64();
-    const std::uint64_t mrt_records = reader.u64();
-    const std::uint64_t mrt_last_offset = reader.u64();
-    const std::uint8_t mrt_resync = reader.u8();
-    if (mrt_resync > 1)
-      throw ParseError("checkpoint: framer resync byte " +
-                       std::to_string(mrt_resync));
-    std::uint64_t bmp_acked = 0, bmp_messages = 0, bmp_skipped = 0;
-    std::uint64_t bmp_peer_ups = 0, bmp_peer_downs = 0, bmp_last_offset = 0;
-    std::uint8_t bmp_resync = 0;
-    if (bmp) {
-      bmp_acked = reader.u64();
-      bmp_messages = reader.u64();
-      bmp_skipped = reader.u64();
-      bmp_peer_ups = reader.u64();
-      bmp_peer_downs = reader.u64();
-      bmp_last_offset = reader.u64();
-      bmp_resync = reader.u8();
-      if (bmp_resync > 1)
-        throw ParseError("checkpoint: BMP resync byte " +
-                         std::to_string(bmp_resync));
-    }
-    const std::uint64_t decoder_skipped = reader.u64();
-    const std::uint32_t watermark_published = reader.u32();
-    const std::uint64_t clean_disconnects = reader.u64();
-    const std::uint64_t dirty_disconnects = reader.u64();
-    const std::uint64_t partial_dropped = reader.u64();
-    const std::uint64_t bytes_discarded = reader.u64();
-    const std::uint64_t observations_discarded = reader.u64();
-    if (commit) {
-      real.framer.restore_state(mrt_acked, mrt_records, mrt_last_offset,
-                                mrt_resync != 0);
-      if (bmp)
-        real.bmp->restore_state(bmp_acked, bmp_messages, bmp_skipped,
-                                bmp_peer_ups, bmp_peer_downs,
-                                bmp_last_offset, bmp_resync != 0);
-      real.decoder.restore_state(
-          static_cast<std::size_t>(decoder_skipped));
-      real.extractor.restore_state(reader);
-      real.supervisor.restore_state(reader);
-      real.closed = (flags & 1) != 0;
-      real.queues_closed = (flags & 2) != 0;
-      real.idle.store((flags & 4) != 0, std::memory_order_relaxed);
-      real.watermark_published = watermark_published;
-      real.clean_disconnects = clean_disconnects;
-      real.dirty_disconnects = dirty_disconnects;
-      real.partial_records_dropped = partial_dropped;
-      real.bytes_discarded = bytes_discarded;
-      real.observations_discarded = observations_discarded;
-    } else {
-      core::PassiveExtractor extractor(contexts_, relationships_,
-                                       config_.passive);
-      extractor.restore_state(reader);
-      FeedSupervisor supervisor(config_.supervision);
-      supervisor.restore_state(reader);
-    }
+  for (const auto& lane : lanes) {
+    lane->mutex.assert_held();  // the caller holds every lane mutex
+    lane->restore_state(reader);
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (commit) {
-      shards_[i]->engine.restore_state(reader);
-      shards_[i]->queue.restore_state(reader);
-      shards_[i]->epochs_published.store(reader.u64(),
-                                         std::memory_order_release);
-    } else {
-      core::MlpInferenceEngine engine((*contexts_)[i]);
-      engine.restore_state(reader);
-      ObservationQueue queue(feeds_.size(), config_.merge);
-      queue.restore_state(reader);
-      reader.u64();  // epoch counter: any value is valid
-    }
+  for (auto& shard : shards) {
+    shard->engine.restore_state(reader);
+    shard->queue.restore_state(reader);
+    shard->epochs_published.store(reader.u64(), std::memory_order_release);
   }
+  if (!reader.done())
+    throw ParseError("checkpoint: trailing bytes after the session image");
 }
 
 void LiveSession::restore_state(std::span<const std::uint8_t> payload) {
@@ -765,26 +703,34 @@ void LiveSession::restore_state(std::span<const std::uint8_t> payload) {
   if (finished_.load(std::memory_order_acquire))
     throw InvalidArgument("live session: restore_state() after finish()");
   LaneLockSet lane_locks(feeds_);
-  for (auto& lane : feeds_) {
-    Lane& target = *lane;
-    target.mutex.assert_held();  // LaneLockSet holds every lane mutex
-    const std::uint64_t fed =
-        target.bmp ? target.bmp->bytes_fed() : target.framer.bytes_fed();
-    if (fed != 0)
-      throw InvalidArgument("live session: restore_state() after feed " +
-                            target.name + " already ingested bytes");
-  }
-  // Pass 1: parse the whole payload against scratch components. Only a
+  // Pass 1 reads the whole payload into scratch parts wired like the
+  // real ones (same IXPs, feed names, transports and configs). Only a
   // payload that survives end to end touches real state, so a malformed
   // image can never leave the session partially applied.
   {
+    std::vector<std::unique_ptr<Lane>> lanes;
+    ShardSet shards(contexts_, config_.merge, 1, 0,
+                    config_.assume_open_for_unobserved);
+    for (auto& lane : feeds_) {
+      Lane& target = *lane;
+      target.mutex.assert_held();  // LaneLockSet holds every lane mutex
+      const std::uint64_t fed =
+          target.bmp ? target.bmp->bytes_fed() : target.framer.bytes_fed();
+      if (fed != 0)
+        throw InvalidArgument("live session: restore_state() after feed " +
+                              target.name + " already ingested bytes");
+      FeedOptions options;
+      options.name = target.name;
+      if (target.bmp) options.transport = Transport::Bmp;
+      lanes.push_back(std::make_unique<Lane>(this, target.index, options));
+      shards.add_source();
+    }
+    LaneLockSet scratch_locks(lanes);
     ByteReader scratch(payload);
-    apply_payload(scratch, /*commit=*/false);
-    if (!scratch.done())
-      throw ParseError("checkpoint: trailing bytes after the session image");
+    read_image(scratch, lanes, shards);
   }
   ByteReader reader(payload);
-  apply_payload(reader, /*commit=*/true);
+  read_image(reader, feeds_, shards_);
 
   const std::uint64_t now = clock_->now_ms();
   for (auto& lane : feeds_) {

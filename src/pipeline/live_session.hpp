@@ -154,8 +154,8 @@ struct LiveConfig {
   std::uint64_t idle_feed_grace_ms = 0;
   /// Per-feed health supervision budgets (see feed_supervisor.hpp).
   /// Under MergePolicy::Concatenate the session forces
-  /// allow_readmission = false: the drain cursor cannot rewind past a
-  /// closed source, so quarantine escalates straight to Dead.
+  /// allow_readmission = false: later feeds may already have drained past
+  /// a closed one, so quarantine escalates straight to Dead.
   SupervisorConfig supervision;
   /// Session time source: paces idle parking and the stall watchdog.
   /// Null means the process SystemClock; tests inject a VirtualClock to
@@ -224,7 +224,7 @@ struct SessionTotals {
   std::uint32_t min_watermark = 0;
   /// Observations sitting in the per-IXP queues, not yet merged into the
   /// engines (summed over feeds and IXPs): the merge backlog behind a
-  /// lagging watermark / an undrained Concatenate source.
+  /// lagging watermark / an earlier, still open Concatenate feed.
   std::size_t queue_depth = 0;
   core::PassiveStats passive;
   std::vector<FeedStats> per_feed;  // in add_feed order
@@ -411,11 +411,11 @@ class LiveSession {
   /// `mutex` so distinct lanes can be driven from distinct threads while
   /// snapshot()/finish() can stop the world.
   struct Lane {
-    Lane(LiveSession* session,
-         std::shared_ptr<const std::vector<core::IxpContext>> ixps,
-         bgp::RelFn relationships, const core::PassiveConfig& passive)
-        : owner(session),
-          extractor(std::move(ixps), std::move(relationships), passive) {}
+    /// A lane wired for feed `lane_index` under the session's config:
+    /// name (defaulted to "feed<index>"), transport, framing limits,
+    /// extractor and supervision budgets. No sink, no activity stamp.
+    Lane(LiveSession* session, std::size_t lane_index,
+         const FeedOptions& options);
 
     /// Back-pointer anchoring the lock-order annotation on `mutex`.
     LiveSession* const owner;
@@ -424,10 +424,9 @@ class LiveSession {
     /// ACQUIRED_AFTER turns a reversed acquisition into a
     /// -Wthread-safety-beta build error.
     util::Mutex mutex MLP_ACQUIRED_AFTER(owner->feeds_mutex_);
-    /// name/index are written once in add_feed (under the lane mutex,
-    /// before the lane is published) and immutable afterwards.
-    std::string name;
-    std::size_t index = 0;
+    /// Set by the constructor, immutable afterwards.
+    const std::string name;
+    const std::size_t index;
     /// Engaged for BMP transports.
     std::optional<stream::BmpFramer> bmp MLP_GUARDED_BY(mutex);
     stream::MrtFramer framer MLP_GUARDED_BY(mutex);
@@ -455,6 +454,14 @@ class LiveSession {
     /// distinct from the user-visible `closed`: a readmitted feed reopens
     /// its sources, a close()d one never does.
     bool queues_closed MLP_GUARDED_BY(mutex) = false;
+
+    /// Checkpoint hooks: the lane's image is its name and transport (the
+    /// wiring a restore cross-checks), then each component's own image
+    /// and the lane's counters and flags. restore_state throws
+    /// InvalidArgument when the image names a different feed and
+    /// ParseError on malformed bytes.
+    void serialize_state(ByteWriter& writer) const MLP_REQUIRES(mutex);
+    void restore_state(ByteReader& reader) MLP_REQUIRES(mutex);
   };
 
   /// RAII over the dynamic all-lanes lock set used by the stop-the-world
@@ -518,14 +525,15 @@ class LiveSession {
   void settle_locked() MLP_REQUIRES(feeds_mutex_);
   /// Caller additionally holds every lane mutex (LaneLockSet).
   SessionTotals collect_totals_locked() MLP_REQUIRES(feeds_mutex_);
-  /// Caller holds feeds_mutex_ and every lane mutex (LaneLockSet). Parse
-  /// one serialize_state() payload; commit=false parses into scratch
-  /// components (validation only), commit=true into the real ones. The
-  /// parse is deterministic, so a commit pass over a payload that passed
-  /// the scratch pass cannot throw -- the two-pass split is what makes
-  /// restore_state all-or-nothing.
-  void apply_payload(ByteReader& reader, bool commit)
-      MLP_REQUIRES(feeds_mutex_);
+  /// Read one whole serialize_state() payload into `lanes` and `shards`
+  /// -- the real parts, or scratch parts wired like them. Caller holds
+  /// every lane's mutex. The parse is deterministic, so a pass over the
+  /// real parts cannot throw once a scratch pass over the same payload
+  /// succeeded: that two-pass split is what makes restore_state
+  /// all-or-nothing.
+  void read_image(ByteReader& reader,
+                  const std::vector<std::unique_ptr<Lane>>& lanes,
+                  ShardSet& shards) const;
 
   LiveConfig config_;
   std::shared_ptr<stream::Clock> clock_;  // config_.clock or SystemClock

@@ -1,5 +1,6 @@
 #include "pipeline/observation_queue.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -8,6 +9,20 @@
 #include "util/errors.hpp"
 
 namespace mlp::pipeline {
+namespace {
+
+/// Frontier sentinel: no open, non-idle source constrains the merge.
+constexpr std::uint32_t kUnbounded = std::numeric_limits<std::uint32_t>::max();
+/// Above every real rank (a key and a source index of UINT32_MAX).
+constexpr std::uint64_t kNoRank = std::numeric_limits<std::uint64_t>::max();
+
+/// Strictly below the frontier (a source may still emit AT its own bound,
+/// so ties must wait) -- or anything, when nothing constrains.
+bool drainable(std::uint32_t frontier, std::uint64_t rank) {
+  return frontier == kUnbounded || (rank >> 32) < frontier;
+}
+
+}  // namespace
 
 ObservationQueue::ObservationQueue(std::size_t n_sources, MergePolicy policy)
     : policy_(policy), sources_(n_sources) {}
@@ -19,42 +34,29 @@ void ObservationQueue::add_source() {
 
 void ObservationQueue::push(std::size_t source,
                             std::vector<core::Observation> batch) {
-  if (batch.empty()) return;
   util::MutexLock lock(mutex_);
-  if (source >= sources_.size())
-    throw InvalidArgument("observation queue: bad source index");
-  if (policy_ == MergePolicy::Watermark) {
-    auto& pending = sources_[source].pending;
-    pending.insert(pending.end(), std::make_move_iterator(batch.begin()),
-                   std::make_move_iterator(batch.end()));
-  } else {
-    sources_[source].batches.push_back(std::move(batch));
-  }
+  auto& pending = checked_locked(source).pending;
+  pending.insert(pending.end(), std::make_move_iterator(batch.begin()),
+                 std::make_move_iterator(batch.end()));
 }
 
 void ObservationQueue::set_watermark(std::size_t source,
                                      std::uint32_t watermark) {
   if (policy_ != MergePolicy::Watermark) return;
   util::MutexLock lock(mutex_);
-  if (source >= sources_.size())
-    throw InvalidArgument("observation queue: bad source index");
-  Source& entry = sources_[source];
+  Source& entry = checked_locked(source);
   if (watermark > entry.watermark) entry.watermark = watermark;  // monotone
 }
 
 void ObservationQueue::set_idle(std::size_t source, bool idle) {
   if (policy_ != MergePolicy::Watermark) return;
   util::MutexLock lock(mutex_);
-  if (source >= sources_.size())
-    throw InvalidArgument("observation queue: bad source index");
-  sources_[source].idle = idle;
+  checked_locked(source).idle = idle;
 }
 
 void ObservationQueue::close(std::size_t source) {
   util::MutexLock lock(mutex_);
-  if (source >= sources_.size())
-    throw InvalidArgument("observation queue: bad source index");
-  sources_[source].closed = true;
+  checked_locked(source).closed = true;
 }
 
 void ObservationQueue::reopen(std::size_t source) {
@@ -62,103 +64,94 @@ void ObservationQueue::reopen(std::size_t source) {
   if (policy_ != MergePolicy::Watermark)
     throw InvalidArgument(
         "observation queue: reopen() requires the Watermark policy");
+  checked_locked(source).closed = false;
+}
+
+ObservationQueue::Source& ObservationQueue::checked_locked(
+    std::size_t source) {
   if (source >= sources_.size())
     throw InvalidArgument("observation queue: bad source index");
-  sources_[source].closed = false;
+  return sources_[source];
 }
 
-std::uint32_t ObservationQueue::min_watermark_locked() const {
-  std::uint32_t min = std::numeric_limits<std::uint32_t>::max();
-  bool constrained = false;
-  for (const Source& source : sources_) {
+std::uint32_t ObservationQueue::frontier_locked() const {
+  std::uint32_t frontier = kUnbounded;
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    const Source& source = sources_[i];
     if (source.closed || source.idle) continue;
-    constrained = true;
-    if (source.watermark < min) min = source.watermark;
+    frontier = std::min(frontier, policy_ == MergePolicy::Concatenate
+                                      ? static_cast<std::uint32_t>(i + 1)
+                                      : source.watermark);
   }
-  // No open non-idle source: nothing can emit below any timestamp, so
-  // everything queued is drainable (the sentinel max).
-  return constrained ? min : std::numeric_limits<std::uint32_t>::max();
+  return frontier;
 }
 
-std::size_t ObservationQueue::next_source_locked() {
-  const std::size_t none = sources_.size();
-  if (policy_ == MergePolicy::Concatenate) {
-    // The in-order head: step the cursor over closed, drained sources.
-    for (; cursor_ < none; ++cursor_) {
-      if (!sources_[cursor_].batches.empty()) return cursor_;
-      if (!sources_[cursor_].closed) break;
-    }
-    return none;
-  }
-  // Eligible: strictly below the min watermark (a source may still emit
-  // AT its own watermark, so ties with the watermark must wait) -- except
-  // when nothing constrains, where the sentinel admits everything.
-  const std::uint32_t min = min_watermark_locked();
-  const bool drain_all = min == std::numeric_limits<std::uint32_t>::max();
-  std::size_t best = none;
-  std::uint32_t best_ts = 0;
-  for (std::size_t i = 0; i < none; ++i) {
-    const auto& pending = sources_[i].pending;
-    if (pending.empty()) continue;
-    const std::uint32_t ts = pending.front().timestamp;
-    if (!drain_all && ts >= min) continue;
-    if (best == none || ts < best_ts) {
-      best = i;  // equal timestamps: lowest source index wins
-      best_ts = ts;
-    }
-  }
-  return best;
+std::uint64_t ObservationQueue::rank_locked(std::size_t source) const {
+  const std::uint64_t key = policy_ == MergePolicy::Concatenate
+                                ? source
+                                : sources_[source].pending.front().timestamp;
+  return key << 32 | source;
 }
 
 bool ObservationQueue::try_pop(std::vector<core::Observation>& out) {
   util::MutexLock lock(mutex_);
   out.clear();
-  // Concatenate hands out the head batch whole; Watermark gathers every
-  // eligible observation in merge order.
-  for (std::size_t next; (next = next_source_locked()) != sources_.size();) {
-    Source& source = sources_[next];
-    if (policy_ == MergePolicy::Concatenate) {
-      out = std::move(source.batches.front());
-      source.batches.pop_front();
-      return true;
+  const std::uint32_t frontier = frontier_locked();
+  for (;;) {
+    // The smallest drainable front wins and streams until its next front
+    // would rank behind the runner-up's (ranks are unique: the source
+    // index is part of them).
+    std::size_t best = sources_.size();
+    std::uint64_t best_rank = kNoRank;
+    std::uint64_t runner_up = kNoRank;
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      if (sources_[i].pending.empty()) continue;
+      const std::uint64_t rank = rank_locked(i);
+      if (!drainable(frontier, rank)) continue;
+      if (rank < best_rank) {
+        runner_up = best_rank;
+        best_rank = rank;
+        best = i;
+      } else if (rank < runner_up) {
+        runner_up = rank;
+      }
     }
-    out.push_back(std::move(source.pending.front()));
-    source.pending.pop_front();
+    if (best == sources_.size()) return !out.empty();
+    auto& pending = sources_[best].pending;
+    do {
+      out.push_back(std::move(pending.front()));
+      pending.pop_front();
+    } while (!pending.empty() && rank_locked(best) < runner_up &&
+             drainable(frontier, rank_locked(best)));
   }
-  return !out.empty();
 }
 
 bool ObservationQueue::has_ready() {
   util::MutexLock lock(mutex_);
-  return next_source_locked() != sources_.size();
+  const std::uint32_t frontier = frontier_locked();
+  for (std::size_t i = 0; i < sources_.size(); ++i)
+    if (!sources_[i].pending.empty() && drainable(frontier, rank_locked(i)))
+      return true;
+  return false;
 }
 
 std::uint32_t ObservationQueue::min_watermark() {
   util::MutexLock lock(mutex_);
-  // Concatenate sources publish no watermarks, so every source reads as
-  // an unconstrained 0 there; report the sentinel instead of a bogus 0.
-  if (policy_ != MergePolicy::Watermark)
-    return std::numeric_limits<std::uint32_t>::max();
-  return min_watermark_locked();
+  // Concatenate's bounds are source positions, not stream time: report
+  // the sentinel instead of a bogus timestamp.
+  return policy_ == MergePolicy::Watermark ? frontier_locked() : kUnbounded;
 }
 
 std::size_t ObservationQueue::depth() {
   util::MutexLock lock(mutex_);
   std::size_t total = 0;
-  for (const Source& source : sources_) {
-    total += source.pending.size();
-    for (const auto& batch : source.batches) total += batch.size();
-  }
+  for (const Source& source : sources_) total += source.pending.size();
   return total;
 }
 
 std::size_t ObservationQueue::depth(std::size_t source) {
   util::MutexLock lock(mutex_);
-  if (source >= sources_.size())
-    throw InvalidArgument("observation queue: bad source index");
-  std::size_t total = sources_[source].pending.size();
-  for (const auto& batch : sources_[source].batches) total += batch.size();
-  return total;
+  return checked_locked(source).pending.size();
 }
 
 void ObservationQueue::serialize_state(ByteWriter& writer) {
@@ -171,21 +164,14 @@ void ObservationQueue::serialize_state(ByteWriter& writer) {
     writer.u32(static_cast<std::uint32_t>(source.pending.size()));
     for (const core::Observation& observation : source.pending)
       core::codec::write_observation(writer, observation);
-    writer.u32(static_cast<std::uint32_t>(source.batches.size()));
-    for (const auto& batch : source.batches) {
-      writer.u32(static_cast<std::uint32_t>(batch.size()));
-      for (const core::Observation& observation : batch)
-        core::codec::write_observation(writer, observation);
-    }
   }
-  writer.u32(static_cast<std::uint32_t>(cursor_));
 }
 
 void ObservationQueue::restore_state(ByteReader& reader) {
   // Parse the full image into locals first: a ParseError anywhere must
   // leave the queue exactly as it was.
   const std::size_t count =
-      core::codec::read_count(reader, 13, "queue source");
+      core::codec::read_count(reader, 9, "queue source");
   std::vector<Source> sources(count);
   for (Source& source : sources) {
     const std::uint8_t flags = reader.u8();
@@ -199,21 +185,7 @@ void ObservationQueue::restore_state(ByteReader& reader) {
         core::codec::read_count(reader, 14, "queued observation");
     for (std::size_t i = 0; i < pending; ++i)
       source.pending.push_back(core::codec::read_observation(reader));
-    const std::size_t batches =
-        core::codec::read_count(reader, 4, "queued batch");
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t size =
-          core::codec::read_count(reader, 14, "batched observation");
-      std::vector<core::Observation> batch;
-      batch.reserve(size);
-      for (std::size_t i = 0; i < size; ++i)
-        batch.push_back(core::codec::read_observation(reader));
-      source.batches.push_back(std::move(batch));
-    }
   }
-  const std::size_t cursor = reader.u32();
-  if (cursor > count)
-    throw ParseError("checkpoint: queue cursor past the source count");
 
   util::MutexLock lock(mutex_);
   if (count != sources_.size())
@@ -221,7 +193,6 @@ void ObservationQueue::restore_state(ByteReader& reader) {
                      std::to_string(count) + " does not match the " +
                      std::to_string(sources_.size()) + " registered feeds");
   sources_ = std::move(sources);
-  cursor_ = cursor;
 }
 
 }  // namespace mlp::pipeline

@@ -2,23 +2,27 @@
 //
 // Observation order matters to the engine (a re-announcement replaces the
 // per-prefix policy), so concurrent producers cannot simply interleave.
-// Each producer owns a source index, and the consumer (a ShardSet pump)
-// polls with try_pop under one of two deterministic policies:
+// Each producer owns a source index and one FIFO of observations; the
+// consumer (a ShardSet pump) polls with try_pop. Both policies are the
+// same stable k-way merge of the per-source FIFOs, differing only in the
+// merge key of an observation and the bound an open source places on it:
 //
-//   Concatenate (default): strict source order -- source k+1 is served
-//   only after source k closed and drained. The archive pipeline's merge:
-//   results equal single-stream ingest of the per-source concatenation.
+//   policy       key of an observation   bound of an open source
+//   Concatenate  its source index        source index + 1
+//   Watermark    its timestamp           the published watermark
 //
-//   Watermark: a k-way timestamp merge. Every producer publishes a
-//   monotone watermark (its extractor's stream clock); the consumer may
-//   pop any observation strictly below the minimum watermark over open,
-//   non-idle sources, smallest (timestamp, source index) first with
-//   per-source FIFO for ties. Because each source's observation
-//   timestamps are non-decreasing and a source never emits below its own
-//   watermark, the drained sequence is the unique stable merge of the
-//   per-source sequences -- a pure function of per-source contents, for
-//   any arrival interleaving. Open-ended sources therefore merge
-//   continuously instead of buffering until close.
+// An observation is drainable once its key is strictly below the minimum
+// bound over open, non-idle sources (everything is, when no source
+// constrains); drainable observations pop smallest (key, source index)
+// first, per-source FIFO within a source. Under Concatenate the lowest
+// open source streams, later sources wait, and closed sources drain in
+// index order: results equal single-stream ingest of the per-source
+// concatenation (the archive pipeline's merge). Under Watermark every
+// producer publishes a monotone watermark (its extractor's stream clock)
+// and never emits below it, so the drained sequence is the unique stable
+// timestamp merge of the per-source sequences -- a pure function of
+// per-source contents, for any arrival interleaving -- and open-ended
+// sources merge continuously instead of buffering until close.
 //
 // Either way the inferred link set is byte-identical for any thread
 // count while extraction overlaps inference.
@@ -42,7 +46,7 @@ namespace mlp::pipeline {
 /// Cross-source drain policy of an ObservationQueue (and of the live
 /// session built on top of it).
 enum class MergePolicy {
-  /// Strict source-index concatenation (the pinned legacy merge).
+  /// Strict source-index concatenation (the archive pipeline's merge).
   Concatenate,
   /// Deterministic k-way timestamp merge under per-source watermarks.
   Watermark,
@@ -61,9 +65,9 @@ class ObservationQueue {
   /// new source simply extends the merge.
   void add_source();
 
-  /// Append one batch from `source`. Empty batches are dropped. Under
-  /// Watermark, observation timestamps must be non-decreasing per source
-  /// (the extractor clock guarantees it).
+  /// Append one batch to `source`'s FIFO. Under Watermark, observation
+  /// timestamps must be non-decreasing per source (the extractor clock
+  /// guarantees it).
   void push(std::size_t source, std::vector<core::Observation> batch);
 
   /// Watermark policy: publish `source`'s monotone watermark -- a
@@ -86,17 +90,17 @@ class ObservationQueue {
   /// again and may push again (a quarantined feed readmitted after
   /// probation). Its watermark survives the round trip, so the monotone
   /// promise to the merge is unbroken. Throws InvalidArgument under
-  /// Concatenate: the drain cursor may already have advanced past the
-  /// source, and a position in a concatenation cannot be re-occupied.
+  /// Concatenate: later sources may already have drained, and a position
+  /// in a concatenation cannot be re-occupied.
   void reopen(std::size_t source);
 
-  /// Pop the next ready batch: false when nothing is ready right now
-  /// (in-order source empty / everything above the watermark), whether or
-  /// not more input may still arrive. Never blocks: the producer that
-  /// makes a batch ready schedules the consumer again.
+  /// Pop every drainable observation, in merge order: false when nothing
+  /// is drainable right now, whether or not more input may still arrive.
+  /// Never blocks: the producer that makes an observation drainable
+  /// schedules the consumer again.
   [[nodiscard]] bool try_pop(std::vector<core::Observation>& out);
 
-  /// True when try_pop would return a batch.
+  /// True when try_pop would return observations.
   [[nodiscard]] bool has_ready();
 
   /// The current merge frontier: minimum watermark over open, non-idle
@@ -106,18 +110,17 @@ class ObservationQueue {
   /// hook the query server pairs with an epoch's backlog gauge.
   std::uint32_t min_watermark();
 
-  /// Observations queued but not yet drained, summed over sources (batch
-  /// contents counted individually). The merge-backlog gauge: under
-  /// Watermark it is what sits at or above the frontier waiting for a
-  /// lagging feed.
+  /// Observations queued but not yet drained, summed over sources. The
+  /// merge-backlog gauge: what sits at or above the frontier waiting for
+  /// a lagging (Watermark) or earlier, still open (Concatenate) source.
   std::size_t depth();
   /// One producer's share of depth().
   std::size_t depth(std::size_t source);
 
   /// Checkpoint hook: persist every source's queued-but-undrained
-  /// observations, watermark and idle/closed flags, plus the Concatenate
-  /// drain cursor. The drained prefix lives in the engine; this is
-  /// exactly the remainder above the merge frontier.
+  /// observations, watermark and idle/closed flags. The drained prefix
+  /// lives in the engine; this is exactly the remainder above the merge
+  /// frontier.
   void serialize_state(ByteWriter& writer);
 
   /// Checkpoint hook: replace the per-source state with a serialized
@@ -129,28 +132,24 @@ class ObservationQueue {
 
  private:
   struct Source {
-    /// Concatenate: pushed batches, drained front to back.
-    std::deque<std::vector<core::Observation>> batches;
-    /// Watermark: pushed observations flattened to per-source FIFO.
-    std::deque<core::Observation> pending;
+    std::deque<core::Observation> pending;  // pushed, not yet drained
     std::uint32_t watermark = 0;
     bool idle = false;
     bool closed = false;
   };
 
-  /// Minimum watermark over open, non-idle sources; UINT32_MAX sentinel
+  /// sources_[source]; InvalidArgument for a bad index.
+  Source& checked_locked(std::size_t source) MLP_REQUIRES(mutex_);
+  /// Minimum bound over open, non-idle sources; UINT32_MAX sentinel
   /// (drain everything) when no source constrains.
-  std::uint32_t min_watermark_locked() const MLP_REQUIRES(mutex_);
-  /// The source whose front is next in merge order, or sources_.size()
-  /// when nothing is drainable. Concatenate: advances the cursor over
-  /// closed, drained sources.
-  std::size_t next_source_locked() MLP_REQUIRES(mutex_);
+  std::uint32_t frontier_locked() const MLP_REQUIRES(mutex_);
+  /// (key, source index) of `source`'s front observation, packed so that
+  /// integer order is merge order.
+  std::uint64_t rank_locked(std::size_t source) const MLP_REQUIRES(mutex_);
 
   util::Mutex mutex_;
   const MergePolicy policy_;  // immutable after construction: lock-free
   std::vector<Source> sources_ MLP_GUARDED_BY(mutex_);
-  /// Concatenate: first source not yet drained.
-  std::size_t cursor_ MLP_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace mlp::pipeline

@@ -130,57 +130,39 @@ std::vector<std::uint8_t> minimal_open(std::uint32_t bgp_id) {
 
 }  // namespace
 
-void BmpFramer::compact() {
-  if (pos_ == 0) return;
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-  base_offset_ += pos_;
-  pos_ = 0;
-  last_message_pos_ = 0;
-}
-
-void BmpFramer::feed(std::span<const std::uint8_t> chunk) {
-  compact();
-  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
-  bytes_fed_ += chunk.size();
-}
-
 std::optional<BmpEvent> BmpFramer::next() {
   for (;;) {
-    if (resyncing_) {
-      while (buf_.size() - pos_ >= kBmpHeaderBytes) {
-        if (plausible_header(buf_.data() + pos_, config_.max_message_bytes)) {
-          resyncing_ = false;
-          break;
-        }
-        ++pos_;
-      }
-      if (resyncing_) return std::nullopt;
+    while (window_.resyncing() && window_.buffered() >= kBmpHeaderBytes) {
+      if (plausible_header(window_.unread().data(),
+                           config_.max_message_bytes))
+        window_.anchored();
+      else
+        window_.consume(1);
     }
-    if (buf_.size() - pos_ < kBmpHeaderBytes) return std::nullopt;
-    const std::uint8_t* head = buf_.data() + pos_;
+    if (window_.resyncing() || window_.buffered() < kBmpHeaderBytes)
+      return std::nullopt;
+    const std::uint8_t* head = window_.unread().data();
     const std::uint8_t version = head[0];
     const std::uint32_t length = read_u32(head + 1);
     const std::uint8_t type = head[5];
-    last_message_pos_ = pos_;
-    last_message_offset_ = base_offset_ + pos_;
+    window_.mark();
+    const std::uint64_t offset = window_.last_offset();
     if (version != kBmpVersion)
       throw ParseError("BmpFramer: bad version " + std::to_string(version) +
-                       " at stream offset " +
-                       std::to_string(last_message_offset_));
+                       " at stream offset " + std::to_string(offset));
     if (type > kTypeMax)
       throw ParseError("BmpFramer: unknown message type " +
                        std::to_string(type) + " at stream offset " +
-                       std::to_string(last_message_offset_));
+                       std::to_string(offset));
     if (length < min_message_bytes(type) ||
         length > config_.max_message_bytes)
       throw ParseError("BmpFramer: message claims " + std::to_string(length) +
                        " bytes (type " + std::to_string(type) + ", cap " +
                        std::to_string(config_.max_message_bytes) +
-                       ") at stream offset " +
-                       std::to_string(last_message_offset_));
-    if (buf_.size() - pos_ < length) return std::nullopt;
+                       ") at stream offset " + std::to_string(offset));
+    if (window_.buffered() < length) return std::nullopt;
     const std::span<const std::uint8_t> message(head, length);
-    pos_ += length;
+    window_.consume(length);
     ++messages_;
 
     if (type == kTypePeerUp || type == kTypePeerDown) {
@@ -258,41 +240,22 @@ std::optional<BmpEvent> BmpFramer::next() {
   }
 }
 
-void BmpFramer::resync() {
-  pos_ = last_message_pos_ + 1;
-  if (pos_ > buf_.size()) pos_ = buf_.size();
-  resyncing_ = true;
+void BmpFramer::serialize_state(ByteWriter& writer) const {
+  window_.serialize_state(writer);
+  writer.u64(messages_);
+  writer.u64(skipped_);
+  writer.u64(peer_ups_);
+  writer.u64(peer_downs_);
 }
 
-std::size_t BmpFramer::reset() {
-  const std::size_t dropped = buf_.size() - pos_;
-  buf_.clear();
-  pos_ = 0;
-  last_message_pos_ = 0;
-  base_offset_ = bytes_fed_;
-  resyncing_ = false;
-  return dropped;
-}
-
-void BmpFramer::restore_state(std::uint64_t bytes_fed, std::uint64_t messages,
-                              std::uint64_t skipped, std::uint64_t peer_ups,
-                              std::uint64_t peer_downs,
-                              std::uint64_t last_message_offset,
-                              bool resyncing) {
-  buf_.clear();
-  pos_ = 0;
-  last_message_pos_ = 0;
-  // Same convention as reset(): the next byte fed is byte bytes_fed_ of
-  // the (logical) stream, which the caller rejoins at the acknowledged
-  // offset.
-  base_offset_ = bytes_fed;
-  bytes_fed_ = bytes_fed;
-  messages_ = messages;
-  skipped_ = skipped;
-  peer_ups_ = peer_ups;
-  peer_downs_ = peer_downs;
-  last_message_offset_ = last_message_offset;
-  resyncing_ = resyncing;
+void BmpFramer::restore_state(ByteReader& reader) {
+  BmpFramer image(config_);
+  image.window_.restore_state(reader);
+  image.messages_ = reader.u64();
+  image.skipped_ = reader.u64();
+  image.peer_ups_ = reader.u64();
+  image.peer_downs_ = reader.u64();
+  *this = std::move(image);
 }
 
 std::vector<std::uint8_t> bmp_route_monitoring(

@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "stream/frame_window.hpp"
 #include "util/annotations.hpp"
 
 namespace mlp::stream {
@@ -81,7 +82,7 @@ class BmpFramer {
   explicit BmpFramer(Config config) : config_(config) {}
 
   /// Append one chunk of transport bytes.
-  void feed(std::span<const std::uint8_t> chunk);
+  void feed(std::span<const std::uint8_t> chunk) { window_.feed(chunk); }
 
   /// The next session event (Update / PeerUp / PeerDown), or nullopt when
   /// the buffered bytes end mid-message and every complete message has
@@ -94,15 +95,15 @@ class BmpFramer {
   /// Tolerant recovery: distrust the message at the front, drop one byte
   /// past its start and scan for the next plausible BMP header (version
   /// 3, known type, sane length). The scan continues across feeds.
-  void resync();
+  void resync() { window_.resync(); }
 
   /// Transport-level resume (a reconnect): drop the buffered partial
   /// message and any pending resync scan, keeping the counters. Returns
   /// the number of bytes dropped.
-  std::size_t reset();
+  std::size_t reset() { return window_.reset(); }
 
   /// Transport bytes accepted so far.
-  std::uint64_t bytes_fed() const { return bytes_fed_; }
+  std::uint64_t bytes_fed() const { return window_.bytes_fed(); }
 
   /// Complete BMP messages framed so far (all types).
   std::uint64_t messages() const { return messages_; }
@@ -116,38 +117,29 @@ class BmpFramer {
   std::uint64_t peer_downs() const { return peer_downs_; }
 
   /// Bytes currently buffered (the partial tail message, between drains).
-  std::size_t buffered() const { return buf_.size() - pos_; }
+  std::size_t buffered() const { return window_.buffered(); }
 
   /// Absolute stream offset of the message most recently framed.
-  std::uint64_t last_message_offset() const { return last_message_offset_; }
+  std::uint64_t last_message_offset() const { return window_.last_offset(); }
 
   /// True while a tolerant resync() scan is still hunting its anchor.
-  bool resyncing() const { return resyncing_; }
+  bool resyncing() const { return window_.resyncing(); }
 
-  /// Checkpoint hook: resume at absolute transport offset `bytes_fed`
-  /// (the acknowledged offset -- every byte before it framed into a
-  /// complete message, or was stepped over by a finished resync scan).
-  /// Drops any buffered bytes; the transport redelivers the tail.
-  void restore_state(std::uint64_t bytes_fed, std::uint64_t messages,
-                     std::uint64_t skipped, std::uint64_t peer_ups,
-                     std::uint64_t peer_downs,
-                     std::uint64_t last_message_offset, bool resyncing);
+  /// Checkpoint hooks: the window image (FrameWindow) at the acknowledged
+  /// transport offset plus every counter; the buffered partial message is
+  /// redelivered by the resumed transport, never serialized. restore
+  /// parses the whole image before committing (a ParseError leaves the
+  /// framer untouched).
+  void serialize_state(ByteWriter& writer) const;
+  void restore_state(ByteReader& reader);
 
  private:
-  void compact();
-
   Config config_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;              // start of the unconsumed region
-  std::size_t last_message_pos_ = 0; // buffer pos of the last framed message
-  std::uint64_t base_offset_ = 0;    // stream offset of buf_[0]
-  std::uint64_t bytes_fed_ = 0;
+  FrameWindow window_;
   std::uint64_t messages_ = 0;
   std::uint64_t skipped_ = 0;
   std::uint64_t peer_ups_ = 0;
   std::uint64_t peer_downs_ = 0;
-  std::uint64_t last_message_offset_ = 0;
-  bool resyncing_ = false;
   std::vector<std::uint8_t> record_;  // synthesized MRT record scratch
 };
 

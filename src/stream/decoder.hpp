@@ -13,6 +13,7 @@
 
 #include "bgp/wire.hpp"
 #include "util/annotations.hpp"
+#include "util/bytes.hpp"
 
 namespace mlp::stream {
 
@@ -38,9 +39,10 @@ class UpdateDecoder {
   /// Records stepped over without decoding.
   std::size_t skipped() const { return skipped_; }
 
-  /// Checkpoint hook: carry the skip counter over a resume (the scratch
+  /// Checkpoint hooks: carry the skip counter over a resume (the scratch
   /// buffers are per-decode transients with nothing to restore).
-  void restore_state(std::size_t skipped) { skipped_ = skipped; }
+  void serialize_state(ByteWriter& writer) const { writer.u64(skipped_); }
+  void restore_state(ByteReader& reader) { skipped_ = reader.u64(); }
 
  private:
   bgp::UpdateMessage scratch_;

@@ -3,98 +3,54 @@
 #include <string>
 
 #include "mrt/record_codec.hpp"
+#include "util/bytes.hpp"
 #include "util/errors.hpp"
 
 namespace mlp::stream {
 
 using mrt::detail::kMrtHeaderBytes;
 
-void MrtFramer::compact() {
-  if (pos_ == 0) return;
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-  base_offset_ += pos_;
-  pos_ = 0;
-  last_record_pos_ = 0;
-}
-
-void MrtFramer::feed(std::span<const std::uint8_t> chunk) {
-  // Compacting before the append keeps the buffer at O(partial record +
-  // chunk): the drained front never survives into the next cycle.
-  compact();
-  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
-  bytes_fed_ += chunk.size();
-}
-
 std::optional<std::span<const std::uint8_t>> MrtFramer::next() {
-  const std::span<const std::uint8_t> all(buf_);
-  if (resyncing_) {
-    // Scan for the next plausible record header; the anchor check only
-    // needs the 12 header bytes, so a partial candidate simply waits for
-    // the next feed.
-    while (buf_.size() - pos_ >= kMrtHeaderBytes) {
-      const auto peek = mrt::detail::peek_header(all.subspan(pos_));
-      if (mrt::detail::known_record_kind(peek->type, peek->subtype) &&
-          peek->length <= config_.max_record_bytes) {
-        resyncing_ = false;
-        break;
-      }
-      ++pos_;
-    }
-    if (resyncing_) return std::nullopt;
+  // Scan for the next plausible record header; the anchor check only
+  // needs the 12 header bytes, so a partial candidate simply waits for
+  // the next feed.
+  while (window_.resyncing() && window_.buffered() >= kMrtHeaderBytes) {
+    const auto peek = mrt::detail::peek_header(window_.unread());
+    if (mrt::detail::known_record_kind(peek->type, peek->subtype) &&
+        peek->length <= config_.max_record_bytes)
+      window_.anchored();
+    else
+      window_.consume(1);
   }
-  const auto peek = mrt::detail::peek_header(all.subspan(pos_));
+  if (window_.resyncing()) return std::nullopt;
+  const auto peek = mrt::detail::peek_header(window_.unread());
   if (!peek) return std::nullopt;
-  last_record_pos_ = pos_;
-  last_record_offset_ = base_offset_ + pos_;
+  window_.mark();
   if (peek->length > config_.max_record_bytes)
     throw ParseError("MrtFramer: record claims " +
                      std::to_string(peek->length) +
                      " body bytes (cap " +
                      std::to_string(config_.max_record_bytes) +
                      ") at stream offset " +
-                     std::to_string(last_record_offset_));
+                     std::to_string(window_.last_offset()));
   const std::size_t total = kMrtHeaderBytes + peek->length;
-  if (buf_.size() - pos_ < total) return std::nullopt;
-  const auto record = all.subspan(pos_, total);
-  pos_ += total;
+  if (window_.buffered() < total) return std::nullopt;
+  const auto record = window_.unread().first(total);
+  window_.consume(total);
   ++records_;
   return record;
 }
 
-std::size_t MrtFramer::reset() {
-  const std::size_t dropped = buf_.size() - pos_;
-  buf_.clear();
-  pos_ = 0;
-  last_record_pos_ = 0;
-  // Offsets keep naming positions in the total fed stream: the next byte
-  // fed is byte bytes_fed_ of the (logical) stream.
-  base_offset_ = bytes_fed_;
-  resyncing_ = false;
-  return dropped;
+void MrtFramer::serialize_state(ByteWriter& writer) const {
+  window_.serialize_state(writer);
+  writer.u64(records_);
 }
 
-void MrtFramer::resync() {
-  // Rewind to one byte past the suspect record's start: its own header
-  // (length field included) is what we no longer trust.
-  pos_ = last_record_pos_ + 1;
-  if (pos_ > buf_.size()) pos_ = buf_.size();
-  resyncing_ = true;
-}
-
-void MrtFramer::restore_state(std::uint64_t bytes_fed, std::uint64_t records,
-                              std::uint64_t last_record_offset,
-                              bool resyncing) {
-  buf_.clear();
-  pos_ = 0;
-  last_record_pos_ = 0;
-  // Same convention as reset(): the next byte fed is byte bytes_fed_ of
-  // the (logical) stream, which the caller rejoins at the acknowledged
-  // offset.
-  base_offset_ = bytes_fed;
-  bytes_fed_ = bytes_fed;
-  records_ = records;
-  last_record_offset_ = last_record_offset;
-  resyncing_ = resyncing;
+void MrtFramer::restore_state(ByteReader& reader) {
+  MrtFramer image(config_);
+  image.window_.restore_state(reader);
+  image.records_ = reader.u64();
+  *this = std::move(image);
 }
 
 }  // namespace mlp::stream

@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "stream/frame_window.hpp"
 #include "util/annotations.hpp"
 
 namespace mlp::stream {
@@ -36,7 +37,7 @@ class MrtFramer {
   explicit MrtFramer(Config config) : config_(config) {}
 
   /// Append one chunk of stream bytes.
-  void feed(std::span<const std::uint8_t> chunk);
+  void feed(std::span<const std::uint8_t> chunk) { window_.feed(chunk); }
 
   /// The next complete record (header + body), or nullopt when the
   /// buffered bytes end mid-record (feed more and retry). The span
@@ -51,53 +52,45 @@ class MrtFramer {
   /// front) record, drop one byte past its start and scan forward for the
   /// next plausible record header (known type/subtype, sane length). The
   /// scan continues across future feeds until an anchor is found.
-  void resync();
+  void resync() { window_.resync(); }
 
   /// Transport-level resume (a reconnect): the byte stream restarts at a
   /// record boundary, so the buffered partial record can never complete.
   /// Drops the buffered tail and any pending resync scan, keeping the
   /// counters (bytes_fed/records carry over the reconnect). Returns the
   /// number of bytes dropped (0 means the disconnect was record-aligned).
-  std::size_t reset();
+  std::size_t reset() { return window_.reset(); }
 
   /// Bytes accepted so far (total stream length fed).
-  std::uint64_t bytes_fed() const { return bytes_fed_; }
+  std::uint64_t bytes_fed() const { return window_.bytes_fed(); }
 
   /// Complete records framed so far.
   std::uint64_t records() const { return records_; }
 
   /// Bytes currently buffered (the partial tail record, between drains).
-  std::size_t buffered() const { return buf_.size() - pos_; }
+  std::size_t buffered() const { return window_.buffered(); }
 
   /// Absolute stream offset of the record most recently returned by
   /// next() (error-message context for the decode layer).
-  std::uint64_t last_record_offset() const { return last_record_offset_; }
+  std::uint64_t last_record_offset() const { return window_.last_offset(); }
 
   /// True while a tolerant resync() scan is still hunting its anchor.
-  bool resyncing() const { return resyncing_; }
+  bool resyncing() const { return window_.resyncing(); }
 
-  /// Checkpoint hook: resume at absolute stream offset `bytes_fed` (the
-  /// acknowledged offset -- every byte before it framed into a complete
-  /// record, or was stepped over by a finished resync scan). Drops any
-  /// buffered bytes; the transport redelivers the unacknowledged tail.
-  /// `resyncing` re-arms a scan that was mid-flight at the checkpoint,
-  /// so redelivered bytes replay it deterministically.
-  void restore_state(std::uint64_t bytes_fed, std::uint64_t records,
-                     std::uint64_t last_record_offset, bool resyncing);
+  /// Checkpoint hooks: the window image (FrameWindow) at the acknowledged
+  /// offset -- every byte before it framed into a complete record, or
+  /// stepped over by a finished resync scan -- plus the record count. The
+  /// buffered partial tail is NOT serialized: the resumed transport
+  /// redelivers it, which is what makes framing exactly-once. restore
+  /// parses the whole image before committing (a ParseError leaves the
+  /// framer untouched).
+  void serialize_state(ByteWriter& writer) const;
+  void restore_state(ByteReader& reader);
 
  private:
-  /// Drop consumed bytes so the buffer only holds the unframed tail.
-  void compact();
-
   Config config_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;             // start of the unconsumed region
-  std::size_t last_record_pos_ = 0; // buffer pos of the last framed record
-  std::uint64_t base_offset_ = 0;   // stream offset of buf_[0]
-  std::uint64_t bytes_fed_ = 0;
+  FrameWindow window_;
   std::uint64_t records_ = 0;
-  std::uint64_t last_record_offset_ = 0;
-  bool resyncing_ = false;
 };
 
 }  // namespace mlp::stream

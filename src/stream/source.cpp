@@ -7,12 +7,10 @@
 
 #include "util/errors.hpp"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mlp::stream {
 
@@ -37,12 +35,11 @@ MemorySource::MemorySource(std::vector<std::uint8_t> data,
 std::size_t MemorySource::read(std::span<std::uint8_t> out) {
   const std::size_t n =
       std::min({out.size(), max_chunk_, data_.size() - pos_});
-  std::memcpy(out.data(), data_.data() + pos_, n);
+  // An empty source's data() may be null: memcpy must not see it.
+  if (n != 0) std::memcpy(out.data(), data_.data() + pos_, n);
   pos_ += n;
   return n;
 }
-
-#ifndef _WIN32
 
 namespace {
 
@@ -210,44 +207,5 @@ void write_all(int fd, std::span<const std::uint8_t> data) {
 }
 
 void close_fd(int fd) { ::close(fd); }
-
-#else  // _WIN32: the fd transports are POSIX-only; the in-memory source
-       // above still works everywhere.
-
-FdSource::FdSource(int, bool) {
-  throw InvalidArgument("FdSource: not supported on this platform");
-}
-FdSource::~FdSource() = default;
-std::size_t FdSource::read(std::span<std::uint8_t>) { return 0; }
-FdPair open_pipe() {
-  throw InvalidArgument("open_pipe: not supported on this platform");
-}
-FdPair open_socketpair() {
-  throw InvalidArgument("open_socketpair: not supported on this platform");
-}
-FdPair open_tcp_loopback() {
-  throw InvalidArgument(
-      "open_tcp_loopback: not supported on this platform");
-}
-TcpListener open_tcp_listener(std::uint16_t) {
-  throw InvalidArgument(
-      "open_tcp_listener: not supported on this platform");
-}
-int tcp_accept(int) {
-  throw InvalidArgument("tcp_accept: not supported on this platform");
-}
-int tcp_listen_accept(std::uint16_t) {
-  throw InvalidArgument(
-      "tcp_listen_accept: not supported on this platform");
-}
-int tcp_connect(const std::string&, std::uint16_t) {
-  throw InvalidArgument("tcp_connect: not supported on this platform");
-}
-void write_all(int, std::span<const std::uint8_t>) {
-  throw InvalidArgument("write_all: not supported on this platform");
-}
-void close_fd(int) {}
-
-#endif
 
 }  // namespace mlp::stream

@@ -2,6 +2,7 @@
 // the invariants the system's correctness rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <tuple>
 #include <unordered_map>
@@ -11,6 +12,7 @@
 #include "bgp/wire.hpp"
 #include "core/engine.hpp"
 #include "mrt/table_dump.hpp"
+#include "pipeline/observation_queue.hpp"
 #include "propagation/routing.hpp"
 #include "routeserver/route_server.hpp"
 #include "topology/generator.hpp"
@@ -571,6 +573,135 @@ TEST_P(SeededProperty, CustomerConesAreMonotone) {
         EXPECT_TRUE(cone.count(member))
             << "AS" << member << " in cone of customer AS" << customer
             << " but not of provider AS" << asn;
+    }
+  }
+}
+
+// ---- ObservationQueue: one drain rule, two keys. Random pushes of
+// per-source monotone batches, watermarks, idle flips, closes and pops
+// drain exactly the reference stable merge when no source idles -- by
+// source order (Concatenate) or by (timestamp, source) (Watermark) --
+// and, with idle sources, still every source's own order and the same
+// observations.
+
+TEST_P(SeededProperty, QueueDrainsTheReferenceStableMerge) {
+  using pipeline::MergePolicy;
+  Rng rng(GetParam());
+  for (std::size_t n = 1; n <= 4; ++n) {
+    for (const MergePolicy policy :
+         {MergePolicy::Concatenate, MergePolicy::Watermark}) {
+      for (const bool use_idle : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << n << " sources, policy "
+                     << static_cast<int>(policy) << ", idle " << use_idle);
+        // Per-source sequences: monotone timestamps with cross-source
+        // ties; the setter is a unique id of (source, position).
+        std::vector<std::vector<core::Observation>> sequences(n);
+        for (std::size_t src = 0; src < n; ++src) {
+          std::uint32_t ts = static_cast<std::uint32_t>(rng.uniform(0, 5));
+          const std::size_t len = rng.uniform(0, 30);
+          for (std::size_t k = 0; k < len; ++k) {
+            core::Observation obs;
+            obs.setter = static_cast<bgp::Asn>(src * 1000 + k);
+            obs.timestamp = ts;
+            sequences[src].push_back(obs);
+            ts += static_cast<std::uint32_t>(rng.uniform(0, 3));
+          }
+        }
+        pipeline::ObservationQueue queue(n, policy);
+        std::vector<std::size_t> pushed(n, 0);
+        std::vector<std::uint32_t> watermark(n, 0);
+        std::vector<bool> closed(n, false);
+        std::vector<bgp::Asn> drained;
+        std::vector<core::Observation> batch;
+        const auto pop = [&] {
+          const bool ready = queue.has_ready();
+          ASSERT_EQ(queue.try_pop(batch), ready);
+          for (const auto& obs : batch) drained.push_back(obs.setter);
+        };
+        for (int step = 0; step < 400; ++step) {
+          const std::size_t src = rng.uniform(0, n - 1);
+          const auto& seq = sequences[src];
+          switch (rng.uniform(0, 4)) {
+            case 0: {  // push the next 1..4 observations
+              if (closed[src] || pushed[src] == seq.size()) break;
+              const std::size_t take = std::min<std::size_t>(
+                  rng.uniform(1, 4), seq.size() - pushed[src]);
+              queue.push(src, std::vector<core::Observation>(
+                                  seq.begin() + pushed[src],
+                                  seq.begin() + pushed[src] + take));
+              pushed[src] += take;
+              break;
+            }
+            case 1: {  // raise the watermark, never past the next push
+              const std::uint32_t limit =
+                  pushed[src] < seq.size() ? seq[pushed[src]].timestamp
+                  : seq.empty()            ? 40
+                                           : seq.back().timestamp + 3;
+              if (watermark[src] > limit) break;
+              watermark[src] = static_cast<std::uint32_t>(
+                  rng.uniform(watermark[src], limit));
+              queue.set_watermark(src, watermark[src]);
+              break;
+            }
+            case 2:
+              if (use_idle) queue.set_idle(src, rng.chance(0.5));
+              break;
+            case 3:
+              if (pushed[src] == seq.size() && !closed[src]) {
+                queue.close(src);
+                closed[src] = true;
+              }
+              break;
+            default:
+              pop();
+          }
+        }
+        for (std::size_t src = 0; src < n; ++src) {
+          const auto& seq = sequences[src];
+          if (pushed[src] < seq.size())
+            queue.push(src, std::vector<core::Observation>(
+                                seq.begin() + pushed[src], seq.end()));
+          queue.close(src);
+        }
+        pop();
+        EXPECT_FALSE(queue.has_ready());
+        EXPECT_EQ(queue.depth(), 0u);
+
+        // The reference: per-source concatenation, stably sorted by the
+        // policy's key (a stable sort keeps each source's FIFO order).
+        std::vector<core::Observation> all;
+        for (const auto& seq : sequences)
+          all.insert(all.end(), seq.begin(), seq.end());
+        if (policy == MergePolicy::Watermark)
+          std::stable_sort(all.begin(), all.end(),
+                           [](const auto& a, const auto& b) {
+                             return std::make_pair(a.timestamp,
+                                                   a.setter / 1000) <
+                                    std::make_pair(b.timestamp,
+                                                   b.setter / 1000);
+                           });
+        std::vector<bgp::Asn> reference;
+        for (const auto& obs : all) reference.push_back(obs.setter);
+        // Idle parking is ignored under Concatenate, so its merge stays
+        // exact either way.
+        if (!use_idle || policy == MergePolicy::Concatenate) {
+          EXPECT_EQ(drained, reference);
+          continue;
+        }
+        auto sorted_drained = drained;
+        auto sorted_reference = reference;
+        std::sort(sorted_drained.begin(), sorted_drained.end());
+        std::sort(sorted_reference.begin(), sorted_reference.end());
+        EXPECT_EQ(sorted_drained, sorted_reference);
+        for (std::size_t src = 0; src < n; ++src) {
+          std::vector<bgp::Asn> own;
+          for (const bgp::Asn id : drained)
+            if (id / 1000 == src) own.push_back(id);
+          EXPECT_TRUE(std::is_sorted(own.begin(), own.end()))
+              << "source " << src << " drained out of its own order";
+        }
+      }
     }
   }
 }

@@ -330,8 +330,10 @@ TEST(QueryServer, AnswersProtocolOverLoopback) {
                 "ok true");
       const auto partners = epoch_snap->links_of(link.a);
       std::string expected = "ok " + std::to_string(partners.size());
-      for (const auto partner : partners)
-        expected += " " + std::to_string(partner);
+      for (const auto partner : partners) {
+        expected += ' ';
+        expected += std::to_string(partner);
+      }
       EXPECT_EQ(client.ask("links " + name + " " +
                            std::to_string(link.a)),
                 expected);
@@ -361,6 +363,47 @@ TEST(QueryServer, AnswersProtocolOverLoopback) {
   server.stop();
   (void)session.finish();
   (void)snap;
+}
+
+TEST(QueryServer, PipelinedBatchAnsweredInOrder) {
+  auto s = make_scenario();
+  const auto ixps = s.ixp_contexts();
+  const auto data = s.collectors().front().update_dump(1367366400);
+  LiveSession session(make_config(1), ixps);
+  auto handle = add_feed(session, "feed0");
+  feed_chunks(handle, data, 4096);
+  handle.close();
+  (void)session.snapshot();  // settle + publish
+
+  QueryServer server(session, QueryServer::Options{/*port=*/0});
+  const int fd = stream::tcp_connect("127.0.0.1", server.port());
+  // One send: good lines around a bad one, then quit, then a line the
+  // server must never answer.
+  const std::string name = ixps[0].name;
+  const std::string batch = "ixps\nepoch " + name + "\nbogus\r\nepoch " +
+                            name + "\nquit\nixps\n";
+  stream::write_all(fd, std::span<const std::uint8_t>(
+                            reinterpret_cast<const std::uint8_t*>(
+                                batch.data()),
+                            batch.size()));
+  std::string received;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;)
+    received.append(chunk, static_cast<std::size_t>(n));  // until EOF
+  stream::close_fd(fd);
+
+  const auto epoch = session.epoch_snapshot(0);
+  std::string expected_ixps = "ok " + std::to_string(ixps.size());
+  for (const auto& ixp : ixps) expected_ixps += " " + ixp.name;
+  const std::string epoch_line =
+      "ok epoch=" + std::to_string(epoch->epoch()) +
+      " generation=" + std::to_string(epoch->generation());
+  EXPECT_EQ(received, expected_ixps + "\n" + epoch_line +
+                          "\nerr unknown verb bogus\n" + epoch_line +
+                          "\nok bye\n");
+  EXPECT_EQ(server.queries_served(), 4u);
+  server.stop();
+  (void)session.finish();
 }
 
 TEST(QueryServer, ServesDuringIngestAndMatchesFinalState) {

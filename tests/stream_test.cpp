@@ -204,6 +204,15 @@ TEST(StreamSource, MemorySourceRespectsChunkCap) {
   EXPECT_EQ(out, data);
 }
 
+TEST(StreamSource, EmptyMemorySourceReadsZero) {
+  // An empty vector's data() may be null; the read must not hand it to
+  // memcpy (UBSan flags that even for a zero-byte copy).
+  MemorySource source(std::vector<std::uint8_t>{});
+  std::uint8_t buffer[16];
+  EXPECT_EQ(source.read(buffer), 0u);
+  EXPECT_EQ(source.read(buffer), 0u);
+}
+
 class TransportTest : public ::testing::TestWithParam<const char*> {};
 
 FdPair open_transport(const std::string& kind) {

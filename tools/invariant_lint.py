@@ -42,10 +42,11 @@ on the offending line or the line directly above):
                             unexplained hole in the proof is a future bug.
   checkpoint-version-bump   (only with --base REF) If the diff against REF
                             changes serialized-payload encode/decode lines
-                            in checkpoint.cpp/live_session.cpp without
-                            touching kCheckpointVersion, fail: a loader
-                            that speaks the old layout would misparse the
-                            new one.
+                            in any checkpoint encoder (PAYLOAD_FILES: the
+                            session walk, the component hooks, the value
+                            codec) without touching kCheckpointVersion,
+                            fail: a loader that speaks the old layout
+                            would misparse the new one.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -164,27 +165,28 @@ def lint_file(rel: str, text: str) -> list[Finding]:
     return findings
 
 
+# Every file that encodes or decodes checkpoint payload bytes: the session
+# walk, the component hooks it calls and the value-type codec under them.
 PAYLOAD_FILES = ("src/pipeline/checkpoint.cpp", "src/pipeline/live_session.cpp",
                  "src/pipeline/observation_queue.cpp", "src/core/engine.cpp",
-                 "src/pipeline/feed_supervisor.cpp")
+                 "src/pipeline/feed_supervisor.cpp", "src/core/passive.cpp",
+                 "src/core/state_codec.cpp", "src/stream/framer.cpp",
+                 "src/stream/bmp_framer.cpp", "src/stream/frame_window.hpp",
+                 "src/stream/decoder.hpp")
 PAYLOAD_LINE_RE = re.compile(r"\b(writer|reader)\.(u8|u16|u32|u64|bytes|sub)\s*\(")
+# Hunk contexts (git's enclosing-function line) of the encoders: the
+# serialize/restore hooks, the session image walk, the file framing and
+# the codec's write_*/read_* functions.
+SERIALIZER_CONTEXT_RE = re.compile(
+    r"serialize_state|restore_state|read_image|encode_checkpoint|"
+    r"decode_checkpoint|\b(?:write|read)_\w+\s*\(")
 VERSION_RE = re.compile(r"kCheckpointVersion\s*=")
 
 
-def lint_checkpoint_version(root: Path, base: str) -> list[Finding]:
-    """Fail when the diff vs `base` edits payload encode/decode lines in a
-    serialize/restore/encode/decode function without bumping
-    kCheckpointVersion."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--unified=0", base, "--", *PAYLOAD_FILES,
-             "src/pipeline/checkpoint.hpp"],
-            cwd=root, capture_output=True, text=True, check=True).stdout
-    except (subprocess.CalledProcessError, FileNotFoundError) as e:
-        print(f"invariant_lint: git diff against {base!r} failed: {e}",
-              file=sys.stderr)
-        sys.exit(2)
-
+def scan_payload_diff(diff: str, base: str) -> list[Finding]:
+    """Fail when a `git diff --unified=0` text edits payload encode/decode
+    lines in an encoder without bumping kCheckpointVersion. Header hunks
+    count whole: their inline hooks sit under a class-level context."""
     version_bumped = False
     payload_edits: list[tuple[str, str]] = []
     current_file = ""
@@ -196,9 +198,8 @@ def lint_checkpoint_version(root: Path, base: str) -> list[Finding]:
             # The function-context tail of the hunk header names the
             # enclosing function for most edits.
             context = line.split("@@")[-1]
-            in_serializer_hunk = bool(re.search(
-                r"serialize_state|restore_state|apply_payload|"
-                r"encode_checkpoint|decode_checkpoint", context))
+            in_serializer_hunk = (current_file.endswith(".hpp") or
+                                  bool(SERIALIZER_CONTEXT_RE.search(context)))
         elif line.startswith(("+", "-")) and not line.startswith(("+++", "---")):
             body = line[1:]
             if VERSION_RE.search(body):
@@ -216,6 +217,20 @@ def lint_checkpoint_version(root: Path, base: str) -> list[Finding]:
             f"{base} (e.g. `{sample[1][:60]}`) without bumping "
             "kCheckpointVersion in checkpoint.hpp")]
     return []
+
+
+def lint_checkpoint_version(root: Path, base: str) -> list[Finding]:
+    """Run scan_payload_diff over the diff against `base`."""
+    try:
+        diff = subprocess.run(
+            ["git", "diff", "--unified=0", base, "--", *PAYLOAD_FILES,
+             "src/pipeline/checkpoint.hpp"],
+            cwd=root, capture_output=True, text=True, check=True).stdout
+    except (subprocess.CalledProcessError, FileNotFoundError) as e:
+        print(f"invariant_lint: git diff against {base!r} failed: {e}",
+              file=sys.stderr)
+        sys.exit(2)
+    return scan_payload_diff(diff, base)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +289,52 @@ SELF_TESTS = [
 ]
 
 
+_HOOK_EDIT = (
+    "diff --git a/src/stream/framer.cpp b/src/stream/framer.cpp\n"
+    "--- a/src/stream/framer.cpp\n"
+    "+++ b/src/stream/framer.cpp\n"
+    "@@ -90 +90 @@ void MrtFramer::serialize_state(ByteWriter& writer) const {\n"
+    "-  writer.u64(records_);\n"
+    "+  writer.u32(records_);\n")
+_VERSION_BUMP = (
+    "diff --git a/src/pipeline/checkpoint.hpp b/src/pipeline/checkpoint.hpp\n"
+    "--- a/src/pipeline/checkpoint.hpp\n"
+    "+++ b/src/pipeline/checkpoint.hpp\n"
+    "@@ -50 +50 @@ class CheckpointError : public std::runtime_error {\n"
+    "-constexpr std::uint32_t kCheckpointVersion = 3;\n"
+    "+constexpr std::uint32_t kCheckpointVersion = 4;\n")
+_CODEC_EDIT = (
+    "diff --git a/src/core/state_codec.cpp b/src/core/state_codec.cpp\n"
+    "--- a/src/core/state_codec.cpp\n"
+    "+++ b/src/core/state_codec.cpp\n"
+    "@@ -40 +40 @@ void write_prefix(ByteWriter& writer, const bgp::IpPrefix& prefix) {\n"
+    "-  writer.u8(prefix.length());\n"
+    "+  writer.u16(prefix.length());\n")
+_INLINE_HOOK_EDIT = (
+    "diff --git a/src/stream/frame_window.hpp b/src/stream/frame_window.hpp\n"
+    "--- a/src/stream/frame_window.hpp\n"
+    "+++ b/src/stream/frame_window.hpp\n"
+    "@@ -77 +77 @@ class FrameWindow {\n"
+    "-    writer.u8(resyncing_ ? 1 : 0);\n"
+    "+    writer.u32(resyncing_ ? 1 : 0);\n")
+_UNRELATED_EDIT = (
+    "diff --git a/src/stream/framer.cpp b/src/stream/framer.cpp\n"
+    "--- a/src/stream/framer.cpp\n"
+    "+++ b/src/stream/framer.cpp\n"
+    "@@ -20 +20 @@ std::optional<std::span<const std::uint8_t>> MrtFramer::next() {\n"
+    "-  ++records_;\n"
+    "+  records_ += 1;\n")
+
+# (name, synthetic diff, should fire)
+DIFF_SELF_TESTS = [
+    ("hook edit without a version bump", _HOOK_EDIT, True),
+    ("hook edit with a version bump", _HOOK_EDIT + _VERSION_BUMP, False),
+    ("codec edit without a version bump", _CODEC_EDIT, True),
+    ("inline header hook edit", _INLINE_HOOK_EDIT, True),
+    ("edit outside any encoder", _UNRELATED_EDIT, False),
+]
+
+
 def self_test() -> int:
     failures = 0
     for rule, path, text, should_fire in SELF_TESTS:
@@ -283,9 +344,17 @@ def self_test() -> int:
             print(f"SELF-TEST FAIL: {rule} on {path!r}: expected "
                   f"{'finding' if should_fire else 'clean'}, got "
                   f"{'finding' if fired else 'clean'}", file=sys.stderr)
+    for name, diff, should_fire in DIFF_SELF_TESTS:
+        fired = bool(scan_payload_diff(diff, "BASE"))
+        if fired != should_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL: checkpoint-version-bump on {name}: "
+                  f"expected {'finding' if should_fire else 'clean'}, got "
+                  f"{'finding' if fired else 'clean'}", file=sys.stderr)
     if failures:
         return 1
-    print(f"invariant_lint: self-test OK ({len(SELF_TESTS)} cases)")
+    total = len(SELF_TESTS) + len(DIFF_SELF_TESTS)
+    print(f"invariant_lint: self-test OK ({total} cases)")
     return 0
 
 
